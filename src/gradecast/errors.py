@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class GradecastError(Exception):
-    """Base class for all toolkit errors (maps to CLI exit code 2)."""
+    """Base class for all toolkit errors."""
 
 
 class ParseError(GradecastError):

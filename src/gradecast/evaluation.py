@@ -10,13 +10,13 @@ numeric value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .labeling import CATEGORY_ORDER, PerformanceCategory
+from .labeling import PerformanceCategory, class_order
 
 
 @dataclass
@@ -56,13 +56,6 @@ class RegressionReport:
     rmse: float | None
 
 
-def _default_classes(values) -> list[object]:
-    seen = set(values)
-    if seen and all(isinstance(v, PerformanceCategory) for v in seen):
-        return list(CATEGORY_ORDER)
-    return sorted(seen, key=str)
-
-
 def confusion(actual, predicted, classes=None) -> ConfusionMatrix:
     actual = list(actual)
     predicted = list(predicted)
@@ -71,7 +64,7 @@ def confusion(actual, predicted, classes=None) -> ConfusionMatrix:
     if not actual:
         raise ValueError("confusion requires at least one pair")
     if classes is None:
-        classes = _default_classes(actual + predicted)
+        classes = class_order(actual + predicted)
     index = {c: i for i, c in enumerate(classes)}
     counts = np.zeros((len(classes), len(classes)), dtype=int)
     for a, p in zip(actual, predicted):
@@ -148,11 +141,16 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return np.array_split(order, k)
 
 
-def _mean_defined(values) -> float | None:
-    defined = [v for v in values if v is not None]
-    if not defined:
-        return None
-    return float(np.mean(defined))
+def _fold_mean(kind, per_fold, **fixed):
+    """A ``kind`` holding ``fixed`` and, in every other field, the mean of
+    the folds' defined values (None where no fold defines one)."""
+    means = {}
+    for f in fields(kind):
+        if f.name not in fixed:
+            values = [getattr(m, f.name) for m in per_fold]
+            defined = [v for v in values if v is not None]
+            means[f.name] = float(np.mean(defined)) if defined else None
+    return kind(**fixed, **means)
 
 
 def cross_validate(
@@ -172,13 +170,13 @@ def cross_validate(
 
     if matrix.target is None:
         raise ConfigError("cross_validate requires a target column")
-    folds = fold_indices(matrix.n_rows, k, seed)
+    if model_kind not in ("regression", "tree"):
+        raise ConfigError(f"unknown model_kind {model_kind!r}")
     everything = np.arange(matrix.n_rows)
-
-    if model_kind == "regression":
-        reports = []
-        for fold in folds:
-            train_idx = np.setdiff1d(everything, fold)
+    per_fold = []
+    for fold in fold_indices(matrix.n_rows, k, seed):
+        train_idx = np.setdiff1d(everything, fold)
+        if model_kind == "regression":
             model = regress.fit_least_squares(
                 matrix.values[train_idx],
                 matrix.target[train_idx].astype(float),
@@ -186,29 +184,12 @@ def cross_validate(
             )
             design = np.column_stack([np.ones(len(fold)), matrix.values[fold]])
             predicted = design @ model.coefficients
-            reports.append(_error_stats(matrix.target[fold].astype(float), predicted))
-        return RegressionReport(
-            _mean_defined([r.mean_error for r in reports]),
-            _mean_defined([r.std_error for r in reports]),
-            _mean_defined([r.correlation for r in reports]),
-            _mean_defined([r.mae for r in reports]),
-            _mean_defined([r.rmse for r in reports]),
-        )
-
-    if model_kind == "tree":
-        per_fold = []
-        for fold in folds:
-            train_idx = np.setdiff1d(everything, fold)
+            per_fold.append(_error_stats(matrix.target[fold].astype(float), predicted))
+        else:
             model = tree.train_tree(matrix.take(train_idx.tolist()))
             predicted = tree.predict_many(model, matrix.values[fold])
             cm = confusion(matrix.target[fold].tolist(), predicted)
             per_fold.append(class_metrics(cm, target_class))
-        return ClassMetrics(
-            target_class,
-            _mean_defined([m.precision for m in per_fold]),
-            _mean_defined([m.recall for m in per_fold]),
-            _mean_defined([m.f_measure for m in per_fold]),
-            _mean_defined([m.fp_rate for m in per_fold]),
-        )
-
-    raise ConfigError(f"unknown model_kind {model_kind!r}")
+    if model_kind == "regression":
+        return _fold_mean(RegressionReport, per_fold)
+    return _fold_mean(ClassMetrics, per_fold, cls=target_class)

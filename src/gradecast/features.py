@@ -15,12 +15,13 @@ family, mirroring the 0-hour rule for late or absent qualifying submissions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, best_submission
+from .dataset import Dataset, Outcome, best_submission
 from .errors import ConfigError
 
 PASSING_RATE = "passing_rate"
@@ -29,14 +30,6 @@ SUBMISSION_COUNT = "submission_count"
 STI = "sti"
 
 FAMILIES = (PASSING_RATE, TESTCASE_OUTCOMES, SUBMISSION_COUNT, STI)
-
-# Short aliases accepted on the command line.
-FAMILY_ALIASES = {
-    "pr": PASSING_RATE,
-    "to": TESTCASE_OUTCOMES,
-    "nos": SUBMISSION_COUNT,
-    "sti": STI,
-}
 
 
 @dataclass(frozen=True)
@@ -118,14 +111,10 @@ def passing_rate(dataset: Dataset, student_id: str, task_id: str) -> float:
 
 
 def testcase_outcomes(dataset: Dataset, student_id: str, task_id: str) -> np.ndarray:
-    task = dataset.task(task_id)
     best = best_submission(dataset, student_id, task_id)
-    vec = np.zeros(task.testcase_count)
-    if best is not None:
-        for i, outcome in enumerate(best.outcomes):
-            if outcome.value == "P":
-                vec[i] = 1.0
-    return vec
+    if best is None:
+        return np.zeros(dataset.task(task_id).testcase_count)
+    return np.array([o is Outcome.PASSED for o in best.outcomes], dtype=float)
 
 
 def submission_count(dataset: Dataset, student_id: str, task_id: str) -> int:
@@ -167,35 +156,25 @@ def build_feature_matrix(
     if unknown:
         raise ConfigError(f"task_scope references unknown tasks: {', '.join(unknown)}")
 
+    cell = {
+        PASSING_RATE: passing_rate,
+        TESTCASE_OUTCOMES: testcase_outcomes,
+        SUBMISSION_COUNT: submission_count,
+        STI: partial(submission_time_interval, threshold=config.sti_threshold),
+    }[family]
     students = list(dataset.student_ids)
     columns: list[str] = []
-    rows = np.zeros((len(students), 0))
-
     blocks = []
     for task_id in config.task_scope:
         if family == TESTCASE_OUTCOMES:
-            task = dataset.task(task_id)
-            columns.extend(f"{task_id}:{tc}" for tc in task.testcase_ids)
-            block = np.vstack(
-                [testcase_outcomes(dataset, sid, task_id) for sid in students]
-            )
+            names = [f"{task_id}:{tc}" for tc in dataset.task(task_id).testcase_ids]
         else:
-            columns.append(task_id)
-            if family == PASSING_RATE:
-                col = [passing_rate(dataset, sid, task_id) for sid in students]
-            elif family == SUBMISSION_COUNT:
-                col = [float(submission_count(dataset, sid, task_id)) for sid in students]
-            else:
-                col = [
-                    submission_time_interval(dataset, sid, task_id, config.sti_threshold)
-                    for sid in students
-                ]
-            block = np.array(col).reshape(-1, 1)
-        blocks.append(block)
-    if blocks:
-        rows = np.hstack(blocks)
+            names = [task_id]
+        columns.extend(names)
+        cells = [cell(dataset, sid, task_id) for sid in students]
+        blocks.append(np.array(cells, dtype=float).reshape(len(students), len(names)))
 
-    matrix = FeatureMatrix(students, columns, rows)
+    matrix = FeatureMatrix(students, columns, np.hstack(blocks))
     if target != "none":
         grades = np.array([dataset.grade(sid, target) for sid in students])
         matrix = matrix.with_target(grades, target)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 import numpy as np
@@ -31,6 +32,20 @@ CATEGORY_ORDER = (
     PerformanceCategory.SP,
     PerformanceCategory.GP,
 )
+
+
+def class_order(labels) -> list[object]:
+    """PP, SP, GP when every label is a category; else the labels sorted by name."""
+    values = set(labels)
+    if values and all(isinstance(v, PerformanceCategory) for v in values):
+        return list(CATEGORY_ORDER)
+    return sorted(values, key=str)
+
+
+def round_half_up(x: float, digits: int = 2) -> float:
+    """Decimal round-half-up (0.005 -> 0.01), exact on binary doubles."""
+    q = Decimal(1).scaleb(-digits)
+    return float(Decimal.from_float(float(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
 def categorize(grade: float) -> PerformanceCategory:
@@ -58,10 +73,6 @@ class SplitSpec:
             raise ConfigError("train_fraction must be in (0, 1)")
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def _strata(target: np.ndarray) -> np.ndarray:
     """Stratification labels: categories as-is, grades via categorize."""
     if target.dtype == object:
@@ -80,7 +91,7 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
         raise ConfigError("split requires a matrix with a target column")
     n = matrix.n_rows
     rng = np.random.default_rng(spec.seed)
-    total_train = _round_half_up(spec.train_fraction * n)
+    total_train = int(round_half_up(spec.train_fraction * n, 0))
 
     if not spec.stratified:
         order = rng.permutation(n)
@@ -92,14 +103,7 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
     groups: dict[object, list[int]] = {}
     for i, lab in enumerate(labels):
         groups.setdefault(lab, []).append(i)
-    # Deterministic group order: categories first, anything else by name.
-    keys = sorted(
-        groups,
-        key=lambda k: (
-            CATEGORY_ORDER.index(k) if k in CATEGORY_ORDER else len(CATEGORY_ORDER),
-            str(k),
-        ),
-    )
+    keys = [k for k in class_order(groups) if k in groups]
 
     quotas = {k: spec.train_fraction * len(groups[k]) for k in keys}
     alloc = {k: int(math.floor(quotas[k])) for k in keys}

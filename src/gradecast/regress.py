@@ -215,7 +215,11 @@ def _linear_prediction(model: RegressionModel, row) -> float:
         raise PredictionError(
             f"row has shape {row.shape}, model expects {len(model.column_names)} values"
         )
-    return float(model.coefficients[0] + model.coefficients[1:] @ row)
+    value = float(model.coefficients[0] + model.coefficients[1:] @ row)
+    # A non-finite entry always makes the value non-finite, so only then is the row read.
+    if not math.isfinite(value) and not np.all(np.isfinite(row)):
+        raise PredictionError("row contains non-finite values")
+    return value
 
 
 def _invert(transform: PowerTransform, value: float) -> tuple[float, bool]:
@@ -231,13 +235,22 @@ def _invert(transform: PowerTransform, value: float) -> tuple[float, bool]:
 
 
 def predict_grade(model: RegressionModel, row, target_max: float | None = None) -> GradePrediction:
-    """Inverse-transformed prediction clamped to [0, target_max]."""
-    raw, invalid = _invert(model.transform, _linear_prediction(model, row))
-    clamped = invalid
+    """Inverse-transformed prediction clamped to [0, target_max].
+
+    An inverse too large for a float is clamped to ``target_max``; without
+    a ``target_max`` it raises PredictionError, as does a non-finite row.
+    """
+    linear = _linear_prediction(model, row)
+    try:
+        raw, clamped = _invert(model.transform, linear)
+    except OverflowError:
+        raw, clamped = math.inf, False
     if raw < 0:
         raw, clamped = 0.0, True
     if target_max is not None and raw > target_max:
         raw, clamped = float(target_max), True
+    if math.isinf(raw):
+        raise PredictionError(f"inverse transform of {linear!r} overflows")
     return GradePrediction(raw, clamped)
 
 

@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
-
 from .evaluation import ClassMetrics, ConfusionMatrix, RegressionReport
-
-
-def round_half_up(x: float, digits: int = 2) -> float:
-    """Decimal round-half-up (0.005 -> 0.01), exact on binary doubles."""
-    q = Decimal(1).scaleb(-digits)
-    return float(Decimal.from_float(float(x)).quantize(q, rounding=ROUND_HALF_UP))
+from .labeling import round_half_up
 
 
 def fmt_metric(x: float | None, digits: int = 2) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, PredictionError, TrainingError
 from .features import FeatureMatrix
-from .labeling import CATEGORY_ORDER, PerformanceCategory
+from .labeling import PerformanceCategory, class_order
 from .special import normal_quantile
 
 # Candidates must improve on the running best by this much to displace it;
@@ -126,13 +126,6 @@ class TreeModel:
         return self._column_index[name]
 
 
-def _class_order(labels) -> list[object]:
-    values = set(labels)
-    if values and all(isinstance(v, PerformanceCategory) for v in values):
-        return list(CATEGORY_ORDER)
-    return sorted(values, key=str)
-
-
 def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Entropy of each row of a (m, k) count matrix with row totals ``sizes``."""
     p = count_rows / sizes[:, None]
@@ -186,7 +179,7 @@ def best_split(matrix: FeatureMatrix) -> SplitCandidate | None:
         raise TrainingError("best_split requires a target column")
     if matrix.n_rows < 2:
         return None
-    classes = _class_order(matrix.target)
+    classes = class_order(matrix.target)
     index = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([index[t] for t in matrix.target])
     hit = _best_split_arrays(matrix.values, label_idx, len(classes))
@@ -259,7 +252,7 @@ def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeMo
         raise TrainingError("train_tree requires a categorical target column")
     if train.n_rows == 0:
         raise TrainingError("training set is empty")
-    classes = _class_order(train.target)
+    classes = class_order(train.target)
     index = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([index[t] for t in train.target])
     root = _grow(train.values, label_idx, classes, list(train.column_names), config)

@@ -140,3 +140,25 @@ def test_matrix_csv_round_trip(tmp_path, small_dataset):
     first = lines[1].split(",")
     assert first[0] == "s1"
     assert float(first[1]) == pytest.approx(30.0)
+
+
+@pytest.mark.parametrize(
+    "family, columns",
+    [
+        ("passing_rate", ["t1", "t2"]),
+        ("testcase_outcomes", ["t1:tc1", "t1:tc2", "t1:tc3", "t2:tc1"]),
+        ("submission_count", ["t1", "t2"]),
+        ("sti", ["t1", "t2"]),
+    ],
+)
+def test_build_matrix_on_cohort_with_no_retained_student(timeline, family, columns):
+    deadline = MIDTERM - timedelta(days=5)
+    tasks = [make_task("t1", "a0", deadline, 3), make_task("t2", "a0", deadline, 1)]
+    submissions = [sub("s1", "t1", hours_before(deadline, 2.0), "PPF")]
+    grades = [GradeRecord("s1", None, 70.0), GradeRecord("s2", 60.0, None)]
+    dataset = Dataset(tasks, timeline, submissions, grades)
+    m = build_feature_matrix(dataset, family, FeatureConfig(("t1", "t2")), target="final")
+    assert m.values.shape == (0, len(columns))
+    assert m.column_names == columns
+    assert m.student_ids == []
+    assert len(m.target) == 0

@@ -125,3 +125,12 @@ def test_split_spec_validates_fraction():
 def test_categorize_all_matches_scalar():
     grades = [0.0, 49.9, 50.0, 80.0, 80.1, 110.0]
     assert categorize_all(grades).tolist() == [PP, PP, SP, SP, GP, GP]
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_split_rounds_half_train_rows_up(stratified):
+    m = labelled_matrix([PP, PP, SP, SP, GP])
+    train, test = split(m, SplitSpec(0.5, seed=1, stratified=stratified))
+    assert train.n_rows == 3
+    assert test.n_rows == 2
+    assert sorted(train.student_ids + test.student_ids) == sorted(m.student_ids)

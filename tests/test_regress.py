@@ -336,3 +336,36 @@ def test_model_json_round_trip():
     assert again.transform == model.transform
     assert again.column_names == ["a", "b"]
     assert model_to_json(again) == text
+
+
+def constant_model(value: float, transform: PowerTransform):
+    from gradecast.regress import FitStats, RegressionModel
+
+    return RegressionModel(
+        np.array([value, 0.0]), transform, ["x"], FitStats(1.0, 0.0, None, None, 4, 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "linear, transform",
+    [(1000.0, PowerTransform(0.0, 1.0)), (1e-300, PowerTransform(-0.5, 1.0))],
+)
+def test_overflowing_inverse_clamps_to_target_max(linear, transform):
+    model = constant_model(linear, transform)
+    pred = predict_grade(model, [0.0], target_max=110.0)
+    assert pred.value == 110.0
+    assert pred.clamped
+    with pytest.raises(PredictionError):
+        predict_grade(model, [0.0])
+    values, clamped = predict_grades(model, np.zeros((2, 1)), 110.0)
+    assert values.tolist() == [110.0, 110.0]
+    assert clamped.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_row_is_rejected(bad):
+    model = constant_model(2.0, PowerTransform(0.0, 1.0))
+    with pytest.raises(PredictionError):
+        predict_grade(model, [bad], target_max=110.0)
+    with pytest.raises(PredictionError):
+        predict_grades(model, np.array([[1.0], [bad]]), 110.0)
