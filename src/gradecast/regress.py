@@ -215,11 +215,10 @@ def _linear_prediction(model: RegressionModel, row) -> float:
         raise PredictionError(
             f"row has shape {row.shape}, model expects {len(model.column_names)} values"
         )
-    value = float(model.coefficients[0] + model.coefficients[1:] @ row)
-    # A non-finite entry always makes the value non-finite, so only then is the row read.
-    if not math.isfinite(value) and not np.all(np.isfinite(row)):
+    # Checked before the product, where inf x 0 would warn before the error.
+    if not np.isfinite(row).all():
         raise PredictionError("row contains non-finite values")
-    return value
+    return float(model.coefficients[0] + model.coefficients[1:] @ row)
 
 
 def _invert(transform: PowerTransform, value: float) -> tuple[float, bool]:

@@ -56,9 +56,8 @@ def oversample(train: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:
         k = m - 1
 
     minority = train.values[minority_idx]
-    # Exact brute-force neighbour search; minority classes here are small.
-    deltas = minority[:, None, :] - minority[None, :, :]
-    dist = np.sqrt((deltas**2).sum(axis=2))
+    # Exact brute-force neighbour search, one row of distances at a time.
+    dist = np.stack([np.sqrt(((row - minority) ** 2).sum(axis=1)) for row in minority])
     np.fill_diagonal(dist, np.inf)
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
 

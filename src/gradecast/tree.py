@@ -6,6 +6,13 @@ midpoints between consecutive distinct sorted values of each column.
 Ties (within a small relative tolerance) keep the earliest feature column
 and the lowest threshold, so induction is fully deterministic.
 
+A node is scored in one vectorised pass over every column and threshold,
+and the scan-order displacement test then runs only on candidates whose
+ratio beats all earlier ones, the only ones that can displace the running
+best, so the tie rule is the one a threshold-by-threshold scan applies.
+Growing and pruning use explicit stacks, so tree depth is not bounded by
+the recursion limit.
+
 Optional pruning is pessimistic subtree replacement: a subtree collapses
 to a leaf when the leaf's estimated error count (an upper confidence
 bound on the binomial error rate at the configured confidence) does not
@@ -122,9 +129,6 @@ class TreeModel:
     def __post_init__(self):
         self._column_index = {name: i for i, name in enumerate(self.column_names)}
 
-    def column_index(self, name: str) -> int:
-        return self._column_index[name]
-
 
 def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Entropy of each row of a (m, k) count matrix with row totals ``sizes``."""
@@ -140,37 +144,35 @@ def _best_split_arrays(
     parent_counts = np.bincount(label_idx, minlength=n_classes)
     h_parent = entropy(parent_counts.tolist())
 
-    best = None  # (ratio, gain, column, threshold)
-    one_hot = np.zeros((n, n_classes), dtype=np.int64)
-    one_hot[np.arange(n), label_idx] = 1
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cum = np.cumsum(one_hot[order], axis=0)
-        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundaries.size == 0:
-            continue
-        left = cum[boundaries].astype(float)
-        right = parent_counts.astype(float) - left
-        nl = (boundaries + 1).astype(float)
-        nr = n - nl
-        wl = nl / n
-        wr = nr / n
-        gains = h_parent - wl * _entropy_rows(left, nl) - wr * _entropy_rows(right, nr)
-        split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        for pos in range(len(boundaries)):
-            gain = gains[pos]
-            if gain <= _GAIN_EPS:
-                continue
-            ratio = gain / split_info[pos]
-            if best is None or ratio > best[0] * (1.0 + _REL_TOL) + _GAIN_EPS:
-                best = (float(ratio), float(gain), j, float(thresholds[pos]))
+    order = np.argsort(values, axis=0, kind="stable")
+    sv = np.take_along_axis(values, order, axis=0)
+    # Candidates in scan order: column first, then ascending threshold.
+    cols, pos = np.nonzero((sv[:-1] != sv[1:]).T)
+    if pos.size == 0:
+        return None
+    cum = np.cumsum(np.eye(n_classes, dtype=np.int64)[label_idx][order], axis=0)
+    left = cum[pos, cols].astype(float)
+    right = parent_counts.astype(float) - left
+    nl = (pos + 1).astype(float)
+    nr = n - nl
+    wl = nl / n
+    wr = nr / n
+    gains = h_parent - wl * _entropy_rows(left, nl) - wr * _entropy_rows(right, nr)
+    split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
+    ratios = np.where(gains > _GAIN_EPS, gains / split_info, -np.inf)
+    # Only a ratio above every earlier one can clear the displacement bar,
+    # which is never below the running best; scan just those candidates.
+    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(ratios)[:-1]))
+    best = None  # (ratio, candidate)
+    for c in np.nonzero(ratios > earlier)[0]:
+        ratio = ratios[c]
+        if best is None or ratio > best[0] * (1.0 + _REL_TOL) + _GAIN_EPS:
+            best = (float(ratio), c)
     if best is None:
         return None
-    ratio, gain, j, threshold = best
-    return j, threshold, gain, ratio
+    ratio, c = best
+    j, p = int(cols[c]), pos[c]
+    return j, float((sv[p, j] + sv[p + 1, j]) / 2.0), float(gains[c]), ratio
 
 
 def best_split(matrix: FeatureMatrix) -> SplitCandidate | None:
@@ -201,17 +203,25 @@ def _grow(
     column_names: list[str],
     config: TreeConfig,
 ) -> TreeNode:
-    counts = np.bincount(label_idx, minlength=len(classes))
-    if np.count_nonzero(counts) <= 1 or len(label_idx) < 2 * config.min_leaf:
-        return Leaf(_majority(counts, classes), counts.tolist())
-    hit = _best_split_arrays(values, label_idx, len(classes))
-    if hit is None:
-        return Leaf(_majority(counts, classes), counts.tolist())
-    j, threshold, _gain, _ratio = hit
-    mask = values[:, j] <= threshold
-    left = _grow(values[mask], label_idx[mask], classes, column_names, config)
-    right = _grow(values[~mask], label_idx[~mask], classes, column_names, config)
-    return Split(column_names[j], threshold, left, right, counts.tolist())
+    top = Split("", 0.0, None, None)  # holds the root in its left slot
+    stack = [(np.arange(len(label_idx)), top, "left")]
+    while stack:
+        rows, parent, slot = stack.pop()
+        sub_values, sub_labels = values[rows], label_idx[rows]
+        counts = np.bincount(sub_labels, minlength=len(classes))
+        hit = None
+        if np.count_nonzero(counts) > 1 and len(rows) >= 2 * config.min_leaf:
+            hit = _best_split_arrays(sub_values, sub_labels, len(classes))
+        if hit is None:
+            setattr(parent, slot, Leaf(_majority(counts, classes), counts.tolist()))
+            continue
+        j, threshold, _gain, _ratio = hit
+        node = Split(column_names[j], threshold, None, None, counts.tolist())
+        setattr(parent, slot, node)
+        mask = sub_values[:, j] <= threshold
+        stack.append((rows[~mask], node, "right"))
+        stack.append((rows[mask], node, "left"))
+    return top.left
 
 
 def _error_upper_bound(errors: float, n: float, z: float) -> float:
@@ -231,18 +241,33 @@ def _leaf_estimate(counts, z: float) -> float:
     return n * _error_upper_bound(errors, n, z)
 
 
-def _prune(node: TreeNode, classes: list[object], z: float) -> tuple[TreeNode, float]:
-    if isinstance(node, Leaf):
-        return node, _leaf_estimate(node.counts, z)
-    left, left_est = _prune(node.left, classes, z)
-    right, right_est = _prune(node.right, classes, z)
-    node = Split(node.feature, node.threshold, left, right, node.counts)
-    subtree_est = left_est + right_est
-    as_leaf_est = _leaf_estimate(node.counts, z)
-    if as_leaf_est <= subtree_est + 1e-10:
-        counts = np.array(node.counts)
-        return Leaf(_majority(counts, classes), node.counts), as_leaf_est
-    return node, subtree_est
+def _prune(root: TreeNode, classes: list[object], z: float) -> tuple[TreeNode, float]:
+    splits = []  # pre-order, so every split comes before its descendants
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            splits.append(node)
+            stack.extend((node.right, node.left))
+    pruned = {}  # id of an original split -> (replacement, estimated errors)
+
+    def result(node: TreeNode) -> tuple[TreeNode, float]:
+        if isinstance(node, Leaf):
+            return node, _leaf_estimate(node.counts, z)
+        return pruned[id(node)]
+
+    for node in reversed(splits):
+        left, left_est = result(node.left)
+        right, right_est = result(node.right)
+        subtree_est = left_est + right_est
+        as_leaf_est = _leaf_estimate(node.counts, z)
+        if as_leaf_est <= subtree_est + 1e-10:
+            leaf = Leaf(_majority(np.array(node.counts), classes), node.counts)
+            pruned[id(node)] = leaf, as_leaf_est
+        else:
+            split = Split(node.feature, node.threshold, left, right, node.counts)
+            pruned[id(node)] = split, subtree_est
+    return result(root)
 
 
 def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeModel:
@@ -262,29 +287,38 @@ def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeMo
     return TreeModel(classes, list(train.column_names), root, config)
 
 
-def _row_value(model: TreeModel, row, feature: str) -> float:
+def _row_reader(model: TreeModel, row):
+    """Function from a feature name to that feature's value in ``row``."""
     if isinstance(row, Mapping):
-        try:
-            return float(row[feature])
-        except KeyError:
-            raise PredictionError(f"row is missing feature {feature!r}") from None
+
+        def value(feature: str) -> float:
+            try:
+                return float(row[feature])
+            except KeyError:
+                raise PredictionError(f"row is missing feature {feature!r}") from None
+
+        return value
     if len(row) != len(model.column_names):
         raise PredictionError(
             f"row has {len(row)} values, model expects {len(model.column_names)}"
         )
-    return float(row[model.column_index(feature)])
+    index = model._column_index
+    return lambda feature: float(row[index[feature]])
 
 
 def predict_tree(model: TreeModel, row) -> object:
     """Class of the leaf reached; values equal to a threshold go left."""
     node = model.root
-    while isinstance(node, Split):
-        node = node.left if _row_value(model, row, node.feature) <= node.threshold else node.right
+    if isinstance(node, Split):
+        value = _row_reader(model, row)
+        while isinstance(node, Split):
+            node = node.left if value(node.feature) <= node.threshold else node.right
     return node.label
 
 
 def predict_many(model: TreeModel, values: np.ndarray) -> list[object]:
-    return [predict_tree(model, row) for row in np.asarray(values)]
+    # Python floats read and compare faster than numpy scalars, node by node.
+    return [predict_tree(model, row) for row in np.asarray(values).tolist()]
 
 
 def _label_to_json(label) -> str:

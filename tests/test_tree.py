@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gradecast.errors import PredictionError, TrainingError
 from gradecast.features import FeatureMatrix
@@ -11,6 +12,7 @@ from gradecast.tree import (
     Leaf,
     Split,
     TreeConfig,
+    _best_split_arrays,
     best_split,
     entropy,
     from_json,
@@ -194,6 +196,88 @@ def test_best_split_matches_bruteforce_oracle():
         assert ours.threshold == threshold
 
 
+# Frozen per-column scan that node search used to run, one threshold at a
+# time; the vectorised search must return exactly the same tuple.
+def _reference_entropy_rows(count_rows, sizes):
+    p = count_rows / sizes[:, None]
+    safe = np.where(p > 0, p, 1.0)
+    return -(np.where(p > 0, p * np.log2(safe), 0.0)).sum(axis=1)
+
+
+def reference_best_split_arrays(values, label_idx, n_classes):
+    n = len(label_idx)
+    parent_counts = np.bincount(label_idx, minlength=n_classes)
+    h_parent = entropy(parent_counts.tolist())
+
+    best = None  # (ratio, gain, column, threshold)
+    one_hot = np.zeros((n, n_classes), dtype=np.int64)
+    one_hot[np.arange(n), label_idx] = 1
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cum = np.cumsum(one_hot[order], axis=0)
+        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundaries.size == 0:
+            continue
+        left = cum[boundaries].astype(float)
+        right = parent_counts.astype(float) - left
+        nl = (boundaries + 1).astype(float)
+        nr = n - nl
+        wl = nl / n
+        wr = nr / n
+        gains = (
+            h_parent
+            - wl * _reference_entropy_rows(left, nl)
+            - wr * _reference_entropy_rows(right, nr)
+        )
+        split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
+        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        for pos in range(len(boundaries)):
+            gain = gains[pos]
+            if gain <= _GAIN_EPS:
+                continue
+            ratio = gain / split_info[pos]
+            if best is None or ratio > best[0] * (1.0 + _REL_TOL) + _GAIN_EPS:
+                best = (float(ratio), float(gain), j, float(thresholds[pos]))
+    if best is None:
+        return None
+    ratio, gain, j, threshold = best
+    return j, threshold, gain, ratio
+
+
+@given(st.data())
+def test_node_search_equals_reference_scan_exactly(data):
+    n = data.draw(st.integers(2, 60))
+    p = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    decimals = data.draw(st.sampled_from([0, 1]))
+    cells = data.draw(st.lists(st.floats(0, 10), min_size=n * p, max_size=n * p))
+    values = np.round(np.array(cells).reshape(n, p), decimals)
+    label_idx = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    assert _best_split_arrays(values, label_idx, k) == reference_best_split_arrays(
+        values, label_idx, k
+    )
+
+
+def test_node_search_ignores_roundoff_gain():
+    # The split at 1.0 leaves both children at the parent's 50/50 mix; its
+    # computed gain is 1.1e-16, below _GAIN_EPS, so there is no split.
+    values = np.array([[0.0], [3.0], [3.0], [0.0], [2.0], [2.0]])
+    label_idx = np.array([0, 0, 1, 1, 1, 0])
+    assert _best_split_arrays(values, label_idx, 2) is None
+    assert reference_best_split_arrays(values, label_idx, 2) is None
+
+
+def test_node_search_keeps_earlier_of_identical_columns():
+    column = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    values = np.column_stack([column, column])
+    label_idx = np.array([0, 0, 1, 0, 1, 1])
+    hit = _best_split_arrays(values, label_idx, 2)
+    assert hit == reference_best_split_arrays(values, label_idx, 2)
+    assert hit[0] == 0
+
+
 # ---------------------------------------------------------------- training
 
 def test_train_pure_input_yields_single_leaf():
@@ -303,6 +387,33 @@ def test_empty_training_set_raises():
     m = matrix_of(np.zeros((0, 1)), [])
     with pytest.raises(TrainingError):
         train_tree(m)
+
+
+def _depth(root):
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Split):
+            stack.extend([(node.left, depth + 1), (node.right, depth + 1)])
+    return deepest
+
+
+@pytest.mark.parametrize(
+    "config",
+    [TreeConfig(min_leaf=1, pruning=False), TreeConfig()],
+    ids=["unpruned-min-leaf-1", "defaults"],
+)
+def test_deep_one_feature_tree_trains_and_predicts_without_recursion(config):
+    n = 2500
+    labels = [PP if i % 2 == 0 else GP for i in range(n)]
+    m = matrix_of(np.arange(n), labels)
+    model = train_tree(m, config)
+    # Deeper than CPython's default recursion limit of 1000.
+    assert _depth(model.root) > 1000
+    predictions = predict_many(model, m.values)
+    assert len(predictions) == n
+    assert all(p in (PP, GP) for p in predictions)
 
 
 # -------------------------------------------------------------- prediction
