@@ -10,18 +10,23 @@ Four families are supported:
 
 A student who never submitted to a task contributes 0 / all-zeros for every
 family, mirroring the 0-hour rule for late or absent qualifying submissions.
+
+Each family is a set of segment reductions over one task's rows, which run
+by student, then time. The float expressions are the per-submission ones:
+passing rate ``passed / width``, the STI test ``passed / width >= threshold``
+and STI ``diff_us / 1e6 / 3600.0``, which equals ``timedelta.total_seconds()
+/ 3600.0`` because a microsecond difference is exact in a float64.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Outcome, best_submission
+from .dataset import Dataset, TaskRows
 from .errors import ConfigError
 
 PASSING_RATE = "passing_rate"
@@ -102,23 +107,42 @@ class FeatureMatrix:
                 writer.writerow(row)
 
 
+def _block(family: str, rows: TaskRows, n: int, threshold: float) -> np.ndarray:
+    """The family's columns for one task, a row per student code; 0 where a
+    student has no submission."""
+    width = rows.outcomes.shape[1]
+    block = np.zeros((n, width if family == TESTCASE_OUTCOMES else 1))
+    if family == SUBMISSION_COUNT:
+        block[:, 0] = np.bincount(rows.student, minlength=n)
+    elif family == STI:
+        on_time = (rows.time_us <= rows.deadline_us) & (rows.passed / width >= threshold)
+        students, times = rows.student[on_time], rows.time_us[on_time]
+        first = np.flatnonzero(np.diff(students, prepend=-1))  # each student's earliest
+        block[students[first], 0] = (rows.deadline_us - times[first]) / 1e6 / 3600.0
+    else:  # the best submission, most passes then latest, ends its student's run
+        order = np.lexsort((rows.time_us, rows.passed, rows.student))
+        best = order[np.flatnonzero(np.diff(rows.student[order], append=-1))]
+        if family == PASSING_RATE:
+            block[rows.student[best], 0] = rows.passed[best] / width
+        else:
+            block[rows.student[best]] = rows.outcomes[best] == ord("P")
+    return block
+
+
+def _cell(family: str, dataset: Dataset, student_id: str, task_id: str, threshold: float = 0.75):
+    return _block(family, dataset.task_rows(task_id, student_id), 1, threshold)[0]
+
+
 def passing_rate(dataset: Dataset, student_id: str, task_id: str) -> float:
-    task = dataset.task(task_id)
-    best = best_submission(dataset, student_id, task_id)
-    if best is None:
-        return 0.0
-    return best.passed_count / task.testcase_count
+    return float(_cell(PASSING_RATE, dataset, student_id, task_id)[0])
 
 
 def testcase_outcomes(dataset: Dataset, student_id: str, task_id: str) -> np.ndarray:
-    best = best_submission(dataset, student_id, task_id)
-    if best is None:
-        return np.zeros(dataset.task(task_id).testcase_count)
-    return np.array([o is Outcome.PASSED for o in best.outcomes], dtype=float)
+    return _cell(TESTCASE_OUTCOMES, dataset, student_id, task_id)
 
 
 def submission_count(dataset: Dataset, student_id: str, task_id: str) -> int:
-    return len(dataset.submissions(student_id, task_id))
+    return int(_cell(SUBMISSION_COUNT, dataset, student_id, task_id)[0])
 
 
 def submission_time_interval(
@@ -128,17 +152,7 @@ def submission_time_interval(
     fraction reaches ``threshold``; 0 when no on-time submission does."""
     if not 0.0 < threshold <= 1.0:
         raise ConfigError("threshold must be in (0, 1]")
-    task = dataset.task(task_id)
-    qualifying = [
-        sub.submitted_at
-        for sub in dataset.submissions(student_id, task_id)
-        if sub.submitted_at <= task.deadline
-        and sub.passed_count / task.testcase_count >= threshold
-    ]
-    if not qualifying:
-        return 0.0
-    earliest = min(qualifying)
-    return (task.deadline - earliest).total_seconds() / 3600.0
+    return float(_cell(STI, dataset, student_id, task_id, threshold)[0])
 
 
 def build_feature_matrix(
@@ -156,12 +170,6 @@ def build_feature_matrix(
     if unknown:
         raise ConfigError(f"task_scope references unknown tasks: {', '.join(unknown)}")
 
-    cell = {
-        PASSING_RATE: passing_rate,
-        TESTCASE_OUTCOMES: testcase_outcomes,
-        SUBMISSION_COUNT: submission_count,
-        STI: partial(submission_time_interval, threshold=config.sti_threshold),
-    }[family]
     students = list(dataset.student_ids)
     columns: list[str] = []
     blocks = []
@@ -171,8 +179,8 @@ def build_feature_matrix(
         else:
             names = [task_id]
         columns.extend(names)
-        cells = [cell(dataset, sid, task_id) for sid in students]
-        blocks.append(np.array(cells, dtype=float).reshape(len(students), len(names)))
+        rows = dataset.task_rows(task_id)
+        blocks.append(_block(family, rows, len(students), config.sti_threshold))
 
     matrix = FeatureMatrix(students, columns, np.hstack(blocks))
     if target != "none":

@@ -202,3 +202,129 @@ def test_timeline_rejects_inverted_dates():
         from gradecast.dataset import CourseTimeline
 
         CourseTimeline(ts_mid, ts_final, 110, 120)
+
+
+# ------------------------------------------------ per-row validation order
+
+# Each bad row, appended as line 6 of SUBMISSIONS_CSV: the error type and a
+# piece of the message it must raise.
+BAD_ROWS = {
+    "unknown_task": ("s1,t9,2016-10-03T10:00:00Z,PP", ReferentialError, "unknown task_id 't9'"),
+    "unknown_student": (
+        "ghost,t1,2016-10-03T10:01:00Z,PPPPP",
+        ReferentialError,
+        "unknown student_id 'ghost'",
+    ),
+    "bad_timestamp": ("s1,t3,yesterday,PP", ParseError, "bad timestamp 'yesterday'"),
+    "no_such_day": ("s1,t3,2015-02-29T10:00:00Z,PP", ParseError, "bad timestamp"),
+    "year_zero": ("s1,t3,0000-01-01T10:00:00Z,PP", ParseError, "bad timestamp"),
+    "bad_character": ("s1,t3,2016-10-03T10:02:00Z,PX", ParseError, "bad outcome character 'X'"),
+    "wrong_count": ("s1,t3,2016-10-03T10:03:00Z,PPP", ParseError, "3 outcomes"),
+    "mixed_compile_error": ("s1,t3,2016-10-03T10:04:00Z,PC", ParseError, "compile_error"),
+    "duplicate": ("s1,t1,2016-10-01T10:00:00Z,PPPPF", ParseError, "duplicate"),
+}
+
+
+def load_with_rows(tmp_path, *rows):
+    text = SUBMISSIONS_CSV + "".join(row + "\n" for row in rows)
+    text += "s2,t3,2016-10-14T13:00:00Z,PF\n"  # a good row after the bad ones
+    paths = write_inputs(tmp_path, submissions=text)
+    load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_bad_row_reports_file_and_line(tmp_path, name):
+    row, error, text = BAD_ROWS[name]
+    with pytest.raises(error) as err:
+        load_with_rows(tmp_path, row)
+    assert f"submissions.csv:6: {text}" in str(err.value)
+    if error is ParseError:
+        assert err.value.line_no == 6
+
+
+@pytest.mark.parametrize("first", sorted(BAD_ROWS))
+@pytest.mark.parametrize("second", sorted(BAD_ROWS))
+def test_earlier_of_two_bad_rows_is_reported(tmp_path, first, second):
+    row, error, text = BAD_ROWS[first]
+    with pytest.raises(error) as err:
+        load_with_rows(tmp_path, row, BAD_ROWS[second][0])
+    assert f"submissions.csv:6: {text}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row, text",
+    [
+        ("s1,t9,yesterday,PX", "unknown task_id"),
+        ("ghost,t1,yesterday,PX", "unknown student_id"),
+        ("s1,t3,yesterday,PX", "bad timestamp"),
+        ("s1,t3,2016-10-03T10:00:00Z,PXC", "bad outcome character"),
+        ("s1,t3,2016-10-03T10:00:00Z,PCC", "compile_error"),
+        ("s1,t1,2016-10-01T10:00:00Z,PPPP", "4 outcomes"),
+    ],
+)
+def test_row_with_several_faults_reports_the_first_check(tmp_path, row, text):
+    with pytest.raises((ParseError, ReferentialError), match=f":6: {text}"):
+        load_with_rows(tmp_path, row)
+
+
+def test_excluded_students_with_equal_timestamps_are_not_duplicates(tmp_path):
+    grades = "student_id,midterm,final\ns1,95,100\ns2,40,\ns3,,50\n"
+    subs = "student_id,task_id,submitted_at,outcomes\n"
+    subs += "s2,t3,2016-10-03T10:00:00Z,PP\ns3,t3,2016-10-03T10:00:00Z,PP\n"
+    paths = write_inputs(tmp_path, submissions=subs, grades=grades)
+    ds = load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
+    assert ds.report.submissions_dropped == 2
+    assert ds.submissions("s2", "t3") == []
+
+
+def test_timestamp_forms_load_to_the_same_instants(tmp_path):
+    # The plain "...Z" form is parsed as one column; any other form row by row.
+    offsets = SUBMISSIONS_CSV.replace("T10:00:00Z", "T12:00:00.000000+02:00")
+    offsets = offsets.replace("T17:00:00Z", " 17:00:00+00:00").replace("T12:00:00Z", "T12:00Z")
+    datasets = []
+    for i, text in enumerate([SUBMISSIONS_CSV, offsets]):
+        (tmp_path / str(i)).mkdir()
+        paths = write_inputs(tmp_path / str(i), submissions=text)
+        datasets.append(
+            load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
+        )
+    plain, other = datasets
+    for sid in ("s1", "s2"):
+        for task in ("t1", "t3"):
+            assert other.submissions(sid, task) == plain.submissions(sid, task)
+    assert len(plain.submissions("s1", "t1")) == 2
+
+
+def test_sub_second_timestamps_are_kept_exactly(tmp_path):
+    subs = "student_id,task_id,submitted_at,outcomes\ns1,t3,2016-10-14T17:59:59.000001Z,PP\n"
+    paths = write_inputs(tmp_path, submissions=subs)
+    ds = load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
+    (only,) = ds.submissions("s1", "t3")
+    assert only.submitted_at == ts("2016-10-14T17:59:59.000001Z")
+    assert ds.task("t3").deadline - only.submitted_at == timedelta(microseconds=999_999)
+
+
+def test_records_are_validated_like_file_rows():
+    dl = MIDTERM - timedelta(days=5)
+    tasks = [make_task("t1", "a0", dl, 2)]
+    grades = [GradeRecord("s1", 60.0, 60.0)]
+    good = sub("s1", "t1", hours_before(dl, 3.0), "PF")
+    cases = [
+        ([good, sub("ghost", "t1", dl, "PF"), sub("s1", "t9", dl, "PF")], ReferentialError, "ghost"),
+        ([good, sub("s1", "t9", dl, "PF"), sub("ghost", "t1", dl, "PF")], ReferentialError, "t9"),
+        ([good, sub("s1", "t1", dl, "PC")], ConfigError, "compile_error"),
+        ([good, sub("s1", "t1", dl, "PFF")], ConfigError, "3 outcomes"),
+        ([good, sub("s1", "t1", hours_before(dl, 3.0), "PP")], ConfigError, "duplicate"),
+    ]
+    for records, error, text in cases:
+        with pytest.raises(error, match=text):
+            Dataset(tasks, make_timeline(), records, grades)
+
+
+def test_submissions_are_rebuilt_from_columns_oldest_first(small_dataset):
+    d1 = small_dataset.task("t1").deadline
+    subs = small_dataset.submissions("s1", "t1")
+    assert [s.submitted_at for s in subs] == [hours_before(d1, h) for h in (50.0, 30.0, 10.0)]
+    assert [s.passed_count for s in subs] == [1, 3, 4]
+    assert subs[0] == sub("s1", "t1", hours_before(d1, 50.0), "PFFF")
+    assert small_dataset.submissions("nobody", "t1") == []

@@ -1,12 +1,17 @@
+import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from gradecast.dataset import Dataset, GradeRecord
+from gradecast.dataset import Dataset, GradeRecord, Outcome
 from gradecast.errors import ConfigError, ReferentialError
 from gradecast.features import (
+    FAMILIES,
     FeatureConfig,
+    FeatureMatrix,
     build_feature_matrix,
     passing_rate,
     submission_count,
@@ -162,3 +167,129 @@ def test_build_matrix_on_cohort_with_no_retained_student(timeline, family, colum
     assert m.column_names == columns
     assert m.student_ids == []
     assert len(m.target) == 0
+
+
+# Frozen record-based per-cell code that build_feature_matrix used to run,
+# one (student, task) cell at a time; the segment reductions must return
+# exactly the same matrix.
+def reference_matrix(tasks, records, grades, family, config, target):
+    tasks_by_id = {t.task_id: t for t in tasks}
+    graded = {g.student_id: g for g in grades}
+    students = sorted(
+        sid for sid, g in graded.items() if g.midterm is not None and g.final is not None
+    )
+    subs = {}
+    for record in records:
+        subs.setdefault((record.student_id, record.task_id), []).append(record)
+
+    def best(sid, task_id):
+        rows = subs.get((sid, task_id), [])
+        return max(rows, key=lambda s: (s.passed_count, s.submitted_at)) if rows else None
+
+    def cell(sid, task_id):
+        task = tasks_by_id[task_id]
+        if family == "passing_rate":
+            b = best(sid, task_id)
+            return 0.0 if b is None else b.passed_count / task.testcase_count
+        if family == "testcase_outcomes":
+            b = best(sid, task_id)
+            if b is None:
+                return np.zeros(task.testcase_count)
+            return np.array([o is Outcome.PASSED for o in b.outcomes], dtype=float)
+        if family == "submission_count":
+            return len(subs.get((sid, task_id), []))
+        qualifying = [
+            s.submitted_at
+            for s in subs.get((sid, task_id), [])
+            if s.submitted_at <= task.deadline
+            and s.passed_count / task.testcase_count >= config.sti_threshold
+        ]
+        if not qualifying:
+            return 0.0
+        return (task.deadline - min(qualifying)).total_seconds() / 3600.0
+
+    columns, blocks = [], []
+    for task_id in config.task_scope:
+        if family == "testcase_outcomes":
+            names = [f"{task_id}:{tc}" for tc in tasks_by_id[task_id].testcase_ids]
+        else:
+            names = [task_id]
+        columns.extend(names)
+        cells = [cell(sid, task_id) for sid in students]
+        blocks.append(np.array(cells, dtype=float).reshape(len(students), len(names)))
+    matrix = FeatureMatrix(students, columns, np.hstack(blocks))
+    if target != "none":
+        matrix = matrix.with_target(np.array([graded[s].exam(target) for s in students]), target)
+    return matrix
+
+
+HOUR_US = 3600 * 10**6
+
+
+@st.composite
+def courses(draw):
+    """Tasks of different widths with microsecond deadlines; students, some
+    missing an exam; 0-4 submissions per pair at microsecond offsets from the
+    deadline, late ones included, each all-C or a P/F pattern."""
+    base = MIDTERM - timedelta(days=5)
+    tasks = [
+        make_task(
+            f"t{i}",
+            "a0",
+            base + timedelta(microseconds=draw(st.integers(-HOUR_US, HOUR_US))),
+            draw(st.integers(1, 4)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    exams = st.sampled_from([(60.0, 70.0), (60.0, 70.0), (None, 70.0), (55.0, None)])
+    grades = [GradeRecord(f"s{i}", *draw(exams)) for i in range(draw(st.integers(1, 4)))]
+    offsets = st.lists(
+        st.one_of(st.just(0), st.integers(-30 * HOUR_US, 3 * HOUR_US)), max_size=4, unique=True
+    )
+    records = []
+    for g in grades:
+        for task in tasks:
+            width = task.testcase_count
+            pattern = st.one_of(st.just("C" * width), st.text("PF", min_size=width, max_size=width))
+            for offset in draw(offsets):
+                when = task.deadline + timedelta(microseconds=offset)
+                records.append(sub(g.student_id, task.task_id, when, draw(pattern)))
+    return tasks, draw(st.permutations(records)), grades
+
+
+thresholds = st.one_of(
+    st.sampled_from([0.25, 0.5, 0.75, 1.0, 1 / 3, 2 / 3]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@given(courses(), st.sampled_from(FAMILIES), thresholds, st.data())
+def test_feature_matrix_equals_reference_cells_exactly(course, family, threshold, data):
+    tasks, records, grades = course
+    task_ids = [t.task_id for t in tasks]
+    scope = data.draw(st.permutations(task_ids))[: data.draw(st.integers(1, len(task_ids)))]
+    target = data.draw(st.sampled_from(["none", "midterm", "final"]))
+    config = FeatureConfig(tuple(scope), threshold)
+    dataset = Dataset(tasks, make_timeline(), records, grades)
+
+    ours = build_feature_matrix(dataset, family, config, target)
+    expected = reference_matrix(tasks, records, grades, family, config, target)
+    assert ours.student_ids == expected.student_ids
+    assert ours.column_names == expected.column_names
+    assert ours.values.dtype == expected.values.dtype
+    assert np.array_equal(ours.values, expected.values)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours.to_csv(Path(tmp, "ours.csv"))
+        expected.to_csv(Path(tmp, "expected.csv"))
+        assert Path(tmp, "ours.csv").read_bytes() == Path(tmp, "expected.csv").read_bytes()
+
+    cell = {
+        "passing_rate": passing_rate,
+        "testcase_outcomes": outcome_vector,
+        "submission_count": submission_count,
+        "sti": lambda *a: submission_time_interval(*a, threshold),
+    }[family]
+    cells = [np.hstack([cell(dataset, sid, t) for t in scope]) for sid in dataset.student_ids]
+    assert np.array_equal(
+        np.array(cells, dtype=float).reshape(expected.values.shape), expected.values
+    )

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gradecast.errors import ConfigError, RebalanceError
 from gradecast.features import FeatureMatrix
@@ -111,3 +114,49 @@ def test_requires_categorical_target():
     m = FeatureMatrix(["a", "b", "c"], ["f0", "f1"], values, np.array([1.0, 2.0, 3.0]), "midterm")
     with pytest.raises(ConfigError):
         oversample(m, SmoteConfig())
+
+
+def on_segment(row, a, b, tol=1e-9):
+    """``row`` is ``a + u * (b - a)`` for some u in [0, 1], up to ``tol``."""
+    d = b - a
+    span = float(d @ d)
+    u = 0.0 if span == 0.0 else float((row - a) @ d) / span
+    return -tol <= u <= 1 + tol and np.max(np.abs(a + u * d - row)) <= tol
+
+
+@given(st.data())
+def test_synthetic_rows_lie_between_minority_row_and_a_k_nearest_neighbour(data):
+    m = data.draw(st.integers(2, 8))
+    n_major = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 6))
+    percentage = data.draw(st.sampled_from([100, 200, 300]))
+    seed = data.draw(st.integers(0, 2**16))
+    # The minority sits in [0, 1]^p and the majority in [2, 3]^p.
+    minority = np.array(data.draw(st.lists(st.floats(0, 1), min_size=m * p, max_size=m * p)))
+    majority = np.array(
+        data.draw(st.lists(st.floats(2, 3), min_size=n_major * p, max_size=n_major * p))
+    )
+    labels = [PP] * m + [GP] * n_major
+    order = data.draw(st.permutations(range(m + n_major)))
+    values = np.vstack([minority.reshape(m, p), majority.reshape(n_major, p)])[order]
+    m_in = matrix_with([labels[i] for i in order], values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k clamped to m - 1
+        out = oversample(m_in, SmoteConfig(k_neighbors=k, percentage=percentage, seed=seed))
+
+    minority = m_in.values[[t is PP for t in m_in.target]]
+    majority = m_in.values[[t is GP for t in m_in.target]]
+    k = min(k, m - 1)
+    synthetic = out.values[m + n_major:]
+    assert len(synthetic) == m * percentage // 100
+    # Synthetic rows come percentage / 100 per minority row, in minority order.
+    reps = percentage // 100
+    for r, row in enumerate(synthetic):
+        assert not any(np.array_equal(row, other) for other in majority)
+        i = r // reps
+        dist = np.sqrt(((minority - minority[i]) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        kth = np.sort(dist)[k - 1]
+        near = [j for j in range(m) if dist[j] <= kth]
+        assert any(on_segment(row, minority[i], minority[j]) for j in near)
