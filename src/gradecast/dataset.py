@@ -1,12 +1,15 @@
 """Course data model and CSV ingestion.
 
-Input files (all CSV with a header row):
+Input files (all UTF-8 CSV with a header row; a BOM is allowed):
 
 * tasks:        task_id,assignment_id,deadline,testcase_ids
                 deadline is ISO-8601 UTC, testcase_ids is ``;``-separated
 * submissions:  student_id,task_id,submitted_at,outcomes
                 outcomes is a string over {P,F,C}, one character per testcase
 * grades:       student_id,midterm,final (empty field = exam missed)
+
+A bad row raises an error naming ``path:line``, the physical line the row
+starts on, counting blank lines and line breaks inside quoted fields.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -134,6 +138,7 @@ class _Rows(NamedTuple):
     outcomes: list[str]
     path: object = None  # the file the rows came from; None for records
     times: list[str] | None = None  # a file's timestamp texts
+    lines: list[int] | None = None  # a file's physical line of each row
 
     def error(self, i: int, referential: bool, message: str) -> Exception:
         """Row ``i``'s error: file rows name ``path:line``, records their ids."""
@@ -141,8 +146,8 @@ class _Rows(NamedTuple):
             text = f"submission {self.student_ids[i]}/{self.task_ids[i]}: {message}"
             return ReferentialError(text) if referential else ConfigError(text)
         if referential:
-            return ReferentialError(f"{self.path}:{i + 2}: {message}")
-        return ParseError(self.path, i + 2, message)
+            return ReferentialError(f"{self.path}:{self.lines[i]}: {message}")
+        return ParseError(self.path, self.lines[i], message)
 
 
 class Dataset:
@@ -341,10 +346,10 @@ def _epoch_us_column(texts: list[str]) -> np.ndarray:
     return np.array([_parsed_us(t) for t in texts], dtype=np.int64)
 
 
-def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:
-    """The required fields of each row, numbered from line 2. As with
-    ``csv.DictReader``, blank lines are skipped; missing fields read as empty."""
-    with Path(path).open(newline="") as fh:
+def _read_rows(path, required: list[str]) -> tuple[list[int], list[tuple[str, ...]]]:
+    """The physical line each row starts on, and its required fields. Blank
+    lines are skipped; missing fields read as empty; a UTF-8 BOM is dropped."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
@@ -353,13 +358,19 @@ def _read_rows(path, required: list[str]) -> list[tuple[str, ...]]:
         column = {name: i for i, name in enumerate(header)}
         fields = itemgetter(*(column[c] for c in required))
         pad = [""] * len(header)
-        return [fields(row + pad[len(row) :]) for row in reader if row]
+        lines, rows, start = [], [], reader.line_num + 1
+        for row in reader:
+            if row:
+                lines.append(start)
+                rows.append(fields(row + pad[len(row) :]))
+            start = reader.line_num + 1
+        return lines, rows
 
 
 def _read_tasks(path) -> list[TaskSpec]:
     tasks = []
-    rows = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
-    for line_no, (task_id, assignment_id, deadline, testcase_ids) in enumerate(rows, start=2):
+    lines, rows = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
+    for line_no, (task_id, assignment_id, deadline, testcase_ids) in zip(lines, rows):
         try:
             when = parse_timestamp(deadline)
         except ValueError:
@@ -375,10 +386,10 @@ def _read_tasks(path) -> list[TaskSpec]:
 
 def _read_submissions(path) -> _Rows:
     """The submissions file as raw columns, validated by ``Dataset``."""
-    rows = _read_rows(path, ["student_id", "task_id", "submitted_at", "outcomes"])
+    lines, rows = _read_rows(path, ["student_id", "task_id", "submitted_at", "outcomes"])
     students, tasks, times, outcomes = map(list, zip(*rows)) if rows else ([],) * 4
     outcomes = [o.strip() for o in outcomes]
-    return _Rows(students, tasks, _epoch_us_column(times), outcomes, path, times)
+    return _Rows(students, tasks, _epoch_us_column(times), outcomes, path, times, lines)
 
 
 def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> float | None:
@@ -387,6 +398,8 @@ def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> fl
         return None
     try:
         value = float(text)
+        if math.isnan(value):
+            raise ValueError(text)
     except ValueError:
         raise ParseError(path, line_no, f"bad {label} grade {raw!r}") from None
     if value < 0 or value > maximum:
@@ -399,8 +412,8 @@ def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> fl
 def _read_grades(path, timeline: CourseTimeline) -> list[GradeRecord]:
     grades = []
     seen: set[str] = set()
-    rows = _read_rows(path, ["student_id", "midterm", "final"])
-    for line_no, (sid, midterm, final) in enumerate(rows, start=2):
+    lines, rows = _read_rows(path, ["student_id", "midterm", "final"])
+    for line_no, (sid, midterm, final) in zip(lines, rows):
         if sid in seen:
             raise ParseError(path, line_no, f"duplicate grade row for {sid}")
         seen.add(sid)

@@ -6,12 +6,25 @@ midpoints between consecutive distinct sorted values of each column.
 Ties (within a small relative tolerance) keep the earliest feature column
 and the lowest threshold, so induction is fully deterministic.
 
-A node is scored in one vectorised pass over every column and threshold,
-and the scan-order displacement test then runs only on candidates whose
-ratio beats all earlier ones, the only ones that can displace the running
-best, so the tie rule is the one a threshold-by-threshold scan applies.
-Growing and pruning use explicit stacks, so tree depth is not bounded by
-the recursion limit.
+``train_trees`` grows one tree per row set of a matrix (the training folds
+of a cross validation, say), and ``train_tree`` is its one-set case. Each
+column is binned once per call by its own sorted distinct values, so the
+occupied bins of a node are exactly the node's distinct values: the class
+histogram of SLIQ and SPRINT, with exact bins. The trees grow together, one
+depth at a time: one ``bincount`` gives the (node, class, bin) histogram of
+every frontier node of every tree, and integer cumulative sums along each
+column's bins give every candidate's left class counts. Gains and ratios
+use the same elementwise formulas as a one-node search, so every value is
+bit-identical. A depth is searched in batches of nodes whose bin codes
+(rows x columns) and histogram (nodes x classes x bins) each stay within
+``_CHUNK_CELLS``, which bounds the search's memory on wide matrices.
+
+The tie rule is the one a threshold-by-threshold scan applies: the
+scan-order displacement test runs per node, on the candidates whose ratio
+beats all earlier ones of the node, the only ones that can displace the
+running best. Rows are routed by ``value <= threshold``, so a midpoint that
+rounds onto the upper value sends that value left. Growing and pruning use
+no recursion, so tree depth is not bounded by the recursion limit.
 
 Optional pruning is pessimistic subtree replacement: a subtree collapses
 to a leaf when the leaf's estimated error count (an upper confidence
@@ -37,6 +50,9 @@ from .special import normal_quantile
 # mathematically tied ratios computed in different orders stay tied.
 _REL_TOL = 1e-9
 _GAIN_EPS = 1e-12
+# Cells one batch of a depth's node search may hold, both in bin codes
+# (rows x columns) and in its class histogram (nodes x bins x classes).
+_CHUNK_CELLS = 1 << 16
 
 
 def entropy(class_counts) -> float:
@@ -108,6 +124,13 @@ TreeNode = Union[Leaf, Split]
 
 @dataclass(frozen=True)
 class TreeConfig:
+    """Induction settings.
+
+    ``min_leaf``: a node with fewer than ``2 * min_leaf`` rows is not split.
+    Children of a split may still hold fewer than ``min_leaf`` rows; the
+    bound is on the node, not on each child.
+    """
+
     min_leaf: int = 2
     pruning_confidence: float = 0.25
     pruning: bool = True
@@ -137,42 +160,93 @@ def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return -(np.where(p > 0, p * np.log2(safe), 0.0)).sum(axis=1)
 
 
-def _best_split_arrays(
-    values: np.ndarray, label_idx: np.ndarray, n_classes: int
-) -> tuple[int, float, float, float] | None:
-    n = len(label_idx)
-    parent_counts = np.bincount(label_idx, minlength=n_classes)
-    h_parent = entropy(parent_counts.tolist())
+def _bin_columns(values: np.ndarray):
+    """Exact bins: each column binned by its own sorted distinct values.
 
+    Returns the (n, m) global bin code of every cell (column j's bins follow
+    column j - 1's), each bin's value and column, and the first bin of each
+    bin's column.
+    """
     order = np.argsort(values, axis=0, kind="stable")
     sv = np.take_along_axis(values, order, axis=0)
-    # Candidates in scan order: column first, then ascending threshold.
-    cols, pos = np.nonzero((sv[:-1] != sv[1:]).T)
-    if pos.size == 0:
-        return None
-    cum = np.cumsum(np.eye(n_classes, dtype=np.int64)[label_idx][order], axis=0)
-    left = cum[pos, cols].astype(float)
-    right = parent_counts.astype(float) - left
-    nl = (pos + 1).astype(float)
+    new = np.ones(sv.shape, dtype=bool)
+    new[1:] = sv[1:] != sv[:-1]
+    per_column = new.sum(axis=0)
+    offsets = np.cumsum(per_column) - per_column
+    codes = np.empty(values.shape, dtype=np.intp)
+    np.put_along_axis(codes, order, np.cumsum(new, axis=0) - 1 + offsets, axis=0)
+    column = np.repeat(np.arange(values.shape[1]), per_column)
+    return codes, sv.T[new.T], column, offsets[column]
+
+
+def _search(
+    bins, rows: np.ndarray, node_of: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> list[tuple[int, float, float, float] | None]:
+    """Best split of each of a batch of nodes, or None where there is none.
+
+    Node ``i`` holds the rows ``rows[node_of == i]`` with class indices
+    ``labels`` and class counts ``counts[i]``, over its tree's classes; a
+    hit is (column, threshold, gain, ratio).
+    """
+    codes, bin_value, bin_column, bin_start = bins
+    n_nodes, k = counts.shape
+    n_bins = len(bin_value)
+    cells = codes[rows] + ((node_of * k + labels) * n_bins)[:, None]
+    hist = np.bincount(cells.ravel(), minlength=n_nodes * k * n_bins)
+    hist = hist.reshape(n_nodes, k, n_bins)
+    # The occupied bins of a node are its distinct values, in scan order:
+    # column first, then ascending value. A candidate threshold lies between
+    # an occupied bin and the next one when both are in the same column.
+    node, b = np.nonzero(hist.any(axis=1))
+    cand = np.nonzero((node[:-1] == node[1:]) & (bin_column[b[:-1]] == bin_column[b[1:]]))[0]
+    results = [None] * n_nodes
+    if cand.size == 0:
+        return results
+    node, b, b_next = node[cand], b[cand], b[cand + 1]
+    # Class counts up to each bin; a column's counts start from its first.
+    cum = np.zeros((n_nodes, n_bins + 1, k), dtype=np.int64)
+    np.cumsum(hist.transpose(0, 2, 1), axis=1, out=cum[:, 1:])
+    cum = cum.reshape(-1, k)
+    at = node * (n_bins + 1)
+    left_counts = np.take(cum, at + b + 1, axis=0) - np.take(cum, at + bin_start[b], axis=0)
+    # C order, so that each row's entropy terms are summed as a one-node
+    # search sums them.
+    left = left_counts.astype(float, order="C")
+    right = counts[node].astype(float) - left
+    n = counts.sum(axis=1)[node].astype(float)
+    nl = left_counts.sum(axis=1).astype(float)
     nr = n - nl
+    h_parent = np.array([entropy(c) for c in counts.tolist()])[node]
     wl = nl / n
     wr = nr / n
     gains = h_parent - wl * _entropy_rows(left, nl) - wr * _entropy_rows(right, nr)
     split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
     ratios = np.where(gains > _GAIN_EPS, gains / split_info, -np.inf)
-    # Only a ratio above every earlier one can clear the displacement bar,
-    # which is never below the running best; scan just those candidates.
-    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(ratios)[:-1]))
-    best = None  # (ratio, candidate)
-    for c in np.nonzero(ratios > earlier)[0]:
-        ratio = ratios[c]
-        if best is None or ratio > best[0] * (1.0 + _REL_TOL) + _GAIN_EPS:
-            best = (float(ratio), c)
-    if best is None:
-        return None
-    ratio, c = best
-    j, p = int(cols[c]), pos[c]
-    return j, float((sv[p, j] + sv[p + 1, j]) / 2.0), float(gains[c]), ratio
+    # Only a ratio above every earlier one of its node can clear the
+    # displacement bar, which is never below the node's running best, so the
+    # scan visits just those. Bins are in scan order, so a running maximum
+    # along each node's bins finds them.
+    running = np.full((n_nodes, n_bins + 1), -np.inf)
+    running[node, b + 1] = ratios
+    records = np.nonzero(ratios > np.maximum.accumulate(running, axis=1)[node, b])[0]
+    best = {}  # node -> (its displacement bar, candidate)
+    for i, c, ratio in zip(node[records].tolist(), records.tolist(), ratios[records].tolist()):
+        if i not in best or ratio > best[i][0]:
+            best[i] = ratio * (1.0 + _REL_TOL) + _GAIN_EPS, c
+    for i, (_bar, c) in best.items():
+        threshold = float((bin_value[b[c]] + bin_value[b_next[c]]) / 2.0)
+        results[i] = int(bin_column[b[c]]), threshold, float(gains[c]), float(ratios[c])
+    return results
+
+
+def _best_split_arrays(
+    values: np.ndarray, label_idx: np.ndarray, n_classes: int
+) -> tuple[int, float, float, float] | None:
+    """Best (column, threshold, gain, ratio) of one node, or None."""
+    counts = np.bincount(label_idx, minlength=n_classes)[None]
+    everything = np.arange(len(label_idx))
+    bins = _bin_columns(values)
+    return _search(bins, everything, np.zeros_like(everything), label_idx, counts)[0]
 
 
 def best_split(matrix: FeatureMatrix) -> SplitCandidate | None:
@@ -196,32 +270,99 @@ def _majority(counts: np.ndarray, classes: list[object]) -> object:
     return classes[int(np.argmax(counts))]
 
 
+def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
+    """(start, stop) runs of nodes of one class count whose bin codes (rows x
+    columns) and histogram (nodes x classes x bins) each fit in _CHUNK_CELLS,
+    or single nodes."""
+    start, rows = 0, 0
+    for i, (size, width) in enumerate(zip(sizes, widths)):
+        if i > start and (
+            width != widths[start]
+            or (rows + size) * n_columns > _CHUNK_CELLS
+            or (i - start + 1) * width * n_bins > _CHUNK_CELLS
+        ):
+            yield start, i
+            start, rows = i, 0
+        rows += size
+    if sizes:
+        yield start, len(sizes)
+
+
 def _grow(
     values: np.ndarray,
-    label_idx: np.ndarray,
-    classes: list[object],
+    labels: np.ndarray,
+    row_sets: list[np.ndarray],
+    classes: list[list[object]],
     column_names: list[str],
     config: TreeConfig,
-) -> TreeNode:
-    top = Split("", 0.0, None, None)  # holds the root in its left slot
-    stack = [(np.arange(len(label_idx)), top, "left")]
-    while stack:
-        rows, parent, slot = stack.pop()
-        sub_values, sub_labels = values[rows], label_idx[rows]
-        counts = np.bincount(sub_labels, minlength=len(classes))
-        hit = None
-        if np.count_nonzero(counts) > 1 and len(rows) >= 2 * config.min_leaf:
-            hit = _best_split_arrays(sub_values, sub_labels, len(classes))
-        if hit is None:
-            setattr(parent, slot, Leaf(_majority(counts, classes), counts.tolist()))
-            continue
-        j, threshold, _gain, _ratio = hit
-        node = Split(column_names[j], threshold, None, None, counts.tolist())
-        setattr(parent, slot, node)
-        mask = sub_values[:, j] <= threshold
-        stack.append((rows[~mask], node, "right"))
-        stack.append((rows[mask], node, "left"))
-    return top.left
+) -> list[TreeNode]:
+    """Grow one tree per row set, all frontier nodes of a depth at once.
+
+    ``labels[t, r]`` is row r's class index in tree t's ``classes[t]``.
+    """
+    bins = _bin_columns(values)
+    widths = [len(c) for c in classes]
+    n_classes = np.array(widths)
+    k = max(widths)
+    tops = [Split("", 0.0, None, None) for _ in row_sets]  # roots in left slots
+    # One (tree, parent, slot) per frontier node; the nodes' rows lie back
+    # to back in ``rows``.
+    frontier = [(t, top, "left") for t, top in enumerate(tops)]
+    tree_of = np.arange(len(row_sets))
+    rows = np.concatenate(row_sets)
+    sizes = np.array([len(r) for r in row_sets])
+    while frontier:
+        n_nodes = len(frontier)
+        node_of = np.repeat(np.arange(n_nodes), sizes)
+        node_labels = labels[tree_of[node_of], rows]
+        counts = np.bincount(node_of * k + node_labels, minlength=n_nodes * k)
+        counts = counts.reshape(n_nodes, k)
+        searched = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * config.min_leaf)
+        picked = searched[node_of]
+        s_rows, s_labels = rows[picked], node_labels[picked]
+        s_node = (np.cumsum(searched) - 1)[node_of[picked]]
+        searched = np.nonzero(searched)[0]
+        bounds = np.concatenate(([0], np.cumsum(sizes[searched])))
+        column = np.full(n_nodes, -1)
+        threshold = np.zeros(n_nodes)
+        s_widths = n_classes[tree_of[searched]].tolist()
+        for lo, hi in _chunks(sizes[searched].tolist(), s_widths, values.shape[1], len(bins[1])):
+            r = slice(bounds[lo], bounds[hi])
+            batch = searched[lo:hi]
+            found = _search(
+                bins, s_rows[r], s_node[r] - lo, s_labels[r], counts[batch, : s_widths[lo]]
+            )
+            for i, hit in zip(batch.tolist(), found):
+                if hit is not None:
+                    column[i], threshold[i] = hit[0], hit[1]
+        split = column >= 0
+        if split.any():
+            # Routed by value, not by bin: a midpoint can round onto the
+            # upper value, which then goes left, as the threshold test says.
+            go_left = values[rows, column[node_of]] <= threshold[node_of]
+            # A split that sends every row left would recur at its left
+            # child forever; such a node stays a leaf.
+            split &= np.bincount(node_of[go_left], minlength=n_nodes) < sizes
+        next_frontier = []
+        for (t, parent, slot), node_counts, is_split, j, cut, majority in zip(
+            frontier, counts.tolist(), split.tolist(), column.tolist(),
+            threshold.tolist(), counts.argmax(axis=1).tolist(),
+        ):
+            node_counts = node_counts[: widths[t]]
+            if is_split:
+                node = Split(column_names[j], cut, None, None, node_counts)
+                next_frontier += [(t, node, "left"), (t, node, "right")]
+            else:
+                node = Leaf(classes[t][majority], node_counts)
+            setattr(parent, slot, node)
+        if next_frontier:
+            keep = split[node_of]
+            child = (2 * node_of + ~go_left)[keep]
+            rows = rows[keep][np.argsort(child, kind="stable")]
+            sizes = np.bincount(child, minlength=2 * n_nodes).reshape(n_nodes, 2)[split].ravel()
+            tree_of = np.repeat(tree_of[split], 2)
+        frontier = next_frontier
+    return [top.left for top in tops]
 
 
 def _error_upper_bound(errors: float, n: float, z: float) -> float:
@@ -270,21 +411,40 @@ def _prune(root: TreeNode, classes: list[object], z: float) -> tuple[TreeNode, f
     return result(root)
 
 
-def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeModel:
-    """Grow (and optionally prune) a classification tree."""
+def train_trees(
+    matrix: FeatureMatrix, row_sets, config: TreeConfig | None = None
+) -> list[TreeModel]:
+    """Grow (and optionally prune) one classification tree per row set.
+
+    Tree t is the tree ``train_tree(matrix.take(row_sets[t]), config)``
+    gives; the trees are grown together, one depth at a time.
+    """
     config = config or TreeConfig()
-    if train.target is None or train.target.dtype != object:
+    if matrix.target is None or matrix.target.dtype != object:
         raise TrainingError("train_tree requires a categorical target column")
-    if train.n_rows == 0:
+    row_sets = [np.asarray(rows, dtype=np.intp) for rows in row_sets]
+    if any(len(rows) == 0 for rows in row_sets):
         raise TrainingError("training set is empty")
-    classes = class_order(train.target)
-    index = {c: i for i, c in enumerate(classes)}
-    label_idx = np.array([index[t] for t in train.target])
-    root = _grow(train.values, label_idx, classes, list(train.column_names), config)
+    if not row_sets:
+        return []
+    classes = [class_order(matrix.target[rows]) for rows in row_sets]
+    labels = np.zeros((len(row_sets), matrix.n_rows), dtype=np.intp)
+    for t, rows in enumerate(row_sets):
+        index = {c: i for i, c in enumerate(classes[t])}
+        labels[t, rows] = [index[y] for y in matrix.target[rows]]
+    column_names = list(matrix.column_names)
+    roots = _grow(matrix.values, labels, row_sets, classes, column_names, config)
     if config.pruning:
         z = normal_quantile(1.0 - config.pruning_confidence)
-        root, _ = _prune(root, classes, z)
-    return TreeModel(classes, list(train.column_names), root, config)
+        roots = [_prune(root, cls, z)[0] for root, cls in zip(roots, classes)]
+    return [
+        TreeModel(cls, column_names, root, config) for cls, root in zip(classes, roots)
+    ]
+
+
+def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeModel:
+    """Grow (and optionally prune) a classification tree."""
+    return train_trees(train, [np.arange(train.n_rows)], config)[0]
 
 
 def _row_reader(model: TreeModel, row):

@@ -124,6 +124,62 @@ def test_grade_outside_range_is_rejected(tmp_path):
         load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
 
 
+def load(paths):
+    return load_dataset(paths["tasks"], paths["submissions"], paths["grades"], make_timeline())
+
+
+def test_tasks_error_names_the_physical_line(tmp_path):
+    # A blank line 4 and a quoted field over lines 5-6 come before line 7.
+    tasks = TASKS_CSV.replace(
+        "t3,a1,", '\n"t4","a\nb",2016-10-14T18:00:00Z,tc1\nt5,a1,yesterday,tc1\nt3,a1,'
+    )
+    with pytest.raises(ParseError, match=r"tasks\.csv:7: bad timestamp 'yesterday'") as err:
+        load(write_inputs(tmp_path, tasks=tasks))
+    assert err.value.line_no == 7
+
+
+def test_submissions_error_names_the_physical_line(tmp_path):
+    lines = SUBMISSIONS_CSV.splitlines(keepends=True)
+    submissions = "".join(lines[:2]) + "\n" + "s1,t3,2016-10-03T10:02:00Z,PX\n" + "".join(lines[2:])
+    with pytest.raises(ParseError, match=r"submissions\.csv:4: bad outcome character 'X'") as err:
+        load(write_inputs(tmp_path, submissions=submissions))
+    assert err.value.line_no == 4
+
+
+def test_unknown_student_names_the_physical_line(tmp_path):
+    submissions = SUBMISSIONS_CSV + "\n\nghost,t1,2016-10-03T10:01:00Z,PPPPP\n"
+    with pytest.raises(ReferentialError, match=r"submissions\.csv:8: unknown student_id"):
+        load(write_inputs(tmp_path, submissions=submissions))
+
+
+def test_grades_error_names_the_physical_line(tmp_path):
+    grades = "student_id,midterm,final\ns1,95,100\n\ns2,40,130\n"
+    with pytest.raises(ParseError, match=r"grades\.csv:4: final grade 130.0 outside") as err:
+        load(write_inputs(tmp_path, grades=grades))
+    assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("grade", ["nan", "NaN", " -nan "])
+def test_nan_grade_is_rejected_with_its_line(tmp_path, grade):
+    grades = f"student_id,midterm,final\ns1,95,100\ns2,{grade},45\n"
+    with pytest.raises(ParseError, match=r"grades\.csv:3: bad midterm grade") as err:
+        load(write_inputs(tmp_path, grades=grades))
+    assert err.value.line_no == 3
+
+
+def test_files_with_a_utf8_bom_load_like_files_without(tmp_path):
+    plain = load(write_inputs(tmp_path))
+    (tmp_path / "bom").mkdir()
+    paths = write_inputs(tmp_path / "bom")
+    for path in paths.values():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with_bom = load(paths)
+    assert with_bom.student_ids == plain.student_ids
+    assert with_bom.tasks == plain.tasks
+    assert with_bom.grades == plain.grades
+    assert with_bom.report == plain.report
+
+
 def test_tasks_before_cutoffs():
     deadlines = [MIDTERM - timedelta(days=d) for d in (30, 20, 10)]
     post = [MIDTERM + timedelta(days=d) for d in (10, 20)]

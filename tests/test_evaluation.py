@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from gradecast.errors import ConfigError
+from gradecast.errors import ConfigError, TrainingError
 from gradecast.evaluation import (
     ClassMetrics,
     RegressionReport,
@@ -15,7 +15,7 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.labeling import PerformanceCategory
-from gradecast.tree import predict_many, train_tree
+from gradecast.tree import predict_many, to_json, train_tree, train_trees
 
 PP, SP, GP = PerformanceCategory.PP, PerformanceCategory.SP, PerformanceCategory.GP
 
@@ -175,6 +175,38 @@ def test_cross_validate_tree_averages_defined_fold_metrics():
         per_fold.append(class_metrics(cm, SP))
     for name in ("precision", "recall", "f_measure", "fp_rate"):
         assert getattr(result, name) == mean_of_defined([getattr(f, name) for f in per_fold])
+
+
+def test_cross_validate_tree_when_a_training_fold_lacks_a_class():
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 4, size=(15, 2)).astype(float)
+    labels = ["b", "a"] * 7 + ["c"]  # "c" is in one fold only
+    m = FeatureMatrix(
+        [f"s{i}" for i in range(15)], ["x", "y"], x, np.array(labels, dtype=object), "label"
+    )
+    folds = fold_indices(m.n_rows, 5, 3)
+    train_sets = [np.setdiff1d(np.arange(m.n_rows), fold) for fold in folds]
+    assert sum("c" not in m.target[t].tolist() for t in train_sets) == 1
+    per_fold = []
+    for fold, train, model in zip(folds, train_sets, train_trees(m, train_sets)):
+        expected = train_tree(m.take(train.tolist()))
+        assert model.classes == expected.classes
+        assert to_json(model) == to_json(expected)
+        cm = confusion(m.target[fold].tolist(), predict_many(expected, m.values[fold]))
+        per_fold.append(class_metrics(cm, "a"))
+    result = cross_validate(m, "tree", k=5, seed=3, target_class="a")
+    for name in ("precision", "recall", "f_measure", "fp_rate"):
+        assert getattr(result, name) == mean_of_defined([getattr(f, name) for f in per_fold])
+
+
+def test_train_trees_raises_the_errors_of_train_tree():
+    m = category_matrix()
+    with pytest.raises(TrainingError, match="empty"):
+        train_trees(m, [np.arange(5), []])
+    assert train_trees(m, []) == []
+    numeric = m.with_target(np.arange(m.n_rows, dtype=float), "grade")
+    with pytest.raises(TrainingError, match="categorical"):
+        train_trees(numeric, [np.arange(5)])
 
 
 def test_cross_validate_absent_target_class_is_undefined_not_zero():

@@ -1,18 +1,22 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradecast.errors import PredictionError, TrainingError
 from gradecast.features import FeatureMatrix
-from gradecast.labeling import PerformanceCategory
+from gradecast import tree as tree_module
+from gradecast.labeling import PerformanceCategory, class_order
+from gradecast.special import normal_quantile
 from gradecast.tree import (
     Leaf,
     Split,
     TreeConfig,
     _best_split_arrays,
+    _leaf_estimate,
     best_split,
     entropy,
     from_json,
@@ -21,6 +25,7 @@ from gradecast.tree import (
     predict_tree,
     to_json,
     train_tree,
+    train_trees,
 )
 
 PP, SP, GP = PerformanceCategory.PP, PerformanceCategory.SP, PerformanceCategory.GP
@@ -276,6 +281,121 @@ def test_node_search_keeps_earlier_of_identical_columns():
     hit = _best_split_arrays(values, label_idx, 2)
     assert hit == reference_best_split_arrays(values, label_idx, 2)
     assert hit[0] == 0
+
+
+# Frozen one-tree induction that training used to run: a node at a time
+# from a stack, each searched by the frozen scan above, then pruned
+# bottom-up. Every tree that train_trees grows must equal it.
+def reference_grow(values, label_idx, classes, column_names, config):
+    top = Split("", 0.0, None, None)
+    stack = [(np.arange(len(label_idx)), top, "left")]
+    while stack:
+        rows, parent, slot = stack.pop()
+        sub_values, sub_labels = values[rows], label_idx[rows]
+        counts = np.bincount(sub_labels, minlength=len(classes))
+        hit = None
+        if np.count_nonzero(counts) > 1 and len(rows) >= 2 * config.min_leaf:
+            hit = reference_best_split_arrays(sub_values, sub_labels, len(classes))
+        if hit is None:
+            setattr(parent, slot, Leaf(classes[int(np.argmax(counts))], counts.tolist()))
+            continue
+        j, threshold, _gain, _ratio = hit
+        node = Split(column_names[j], threshold, None, None, counts.tolist())
+        setattr(parent, slot, node)
+        mask = sub_values[:, j] <= threshold
+        stack.append((rows[~mask], node, "right"))
+        stack.append((rows[mask], node, "left"))
+    return top.left
+
+
+def reference_prune(root, classes, z):
+    splits, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            splits.append(node)
+            stack.extend((node.right, node.left))
+    pruned = {}
+
+    def result(node):
+        if isinstance(node, Leaf):
+            return node, _leaf_estimate(node.counts, z)
+        return pruned[id(node)]
+
+    for node in reversed(splits):
+        left, left_est = result(node.left)
+        right, right_est = result(node.right)
+        as_leaf_est = _leaf_estimate(node.counts, z)
+        if as_leaf_est <= left_est + right_est + 1e-10:
+            label = classes[int(np.argmax(node.counts))]
+            pruned[id(node)] = Leaf(label, node.counts), as_leaf_est
+        else:
+            split = Split(node.feature, node.threshold, left, right, node.counts)
+            pruned[id(node)] = split, left_est + right_est
+    return result(root)[0]
+
+
+def reference_train_tree(train, config):
+    classes = class_order(train.target)
+    index = {c: i for i, c in enumerate(classes)}
+    label_idx = np.array([index[t] for t in train.target])
+    root = reference_grow(train.values, label_idx, classes, train.column_names, config)
+    if config.pruning:
+        root = reference_prune(root, classes, normal_quantile(1.0 - config.pruning_confidence))
+    return classes, root
+
+
+def node_counts(root):
+    counts, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        counts.append(node.counts)
+        if isinstance(node, Split):
+            stack.extend((node.right, node.left))
+    return counts
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_train_trees_equals_frozen_one_tree_induction(data):
+    n = data.draw(st.integers(1, 30))
+    p = data.draw(st.integers(1, 3))
+    decimals = data.draw(st.sampled_from([0, 1]))
+    cells = data.draw(st.lists(st.floats(0, 4), min_size=n * p, max_size=n * p))
+    values = np.round(np.array(cells).reshape(n, p), decimals)
+    if data.draw(st.booleans()):
+        values = np.column_stack([values, values[:, data.draw(st.integers(0, p - 1))]])
+    pool = [PP, SP, GP] if data.draw(st.booleans()) else ["a", "b", "c", "d"]
+    labels = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    row_sets = data.draw(st.lists(rows, min_size=1, max_size=4))
+    config = TreeConfig(min_leaf=data.draw(st.integers(1, 3)), pruning=data.draw(st.booleans()))
+    # A cap of one cell searches every node alone; 64 mixes batch sizes.
+    cap = data.draw(st.sampled_from([1, 64, tree_module._CHUNK_CELLS]))
+    m = matrix_of(values, labels)
+    with mock.patch.object(tree_module, "_CHUNK_CELLS", cap):
+        models = train_trees(m, row_sets, config)
+    assert len(models) == len(row_sets)
+    for model, rows in zip(models, row_sets):
+        classes, root = reference_train_tree(m.take(rows), config)
+        expected = tree_module.TreeModel(classes, list(m.column_names), root, config)
+        assert model.classes == classes
+        assert model.config == config
+        assert to_json(model) == to_json(expected)
+        assert node_counts(model.root) == node_counts(root)
+
+
+def test_split_whose_midpoint_rounds_onto_the_upper_value_is_not_taken():
+    low = 1.0 + 2.0**-52
+    high = float(np.nextafter(low, 2.0))
+    # The midpoint rounds onto ``high``, so both rows would go left and the
+    # left child would be its parent again.
+    assert (low + high) / 2.0 == high
+    m = matrix_of([low, high], ["a", "b"])
+    assert _best_split_arrays(m.values, np.array([0, 1]), 2)[1] == high
+    model = train_tree(m, TreeConfig(min_leaf=1, pruning=False))
+    assert isinstance(model.root, Leaf)
+    assert model.root.counts == [1, 1]
 
 
 # ---------------------------------------------------------------- training
