@@ -15,6 +15,7 @@ from gradecast.tree import (
     Leaf,
     Split,
     TreeConfig,
+    TreeModel,
     _best_split_arrays,
     _leaf_estimate,
     best_split,
@@ -378,7 +379,7 @@ def test_train_trees_equals_frozen_one_tree_induction(data):
     assert len(models) == len(row_sets)
     for model, rows in zip(models, row_sets):
         classes, root = reference_train_tree(m.take(rows), config)
-        expected = tree_module.TreeModel(classes, list(m.column_names), root, config)
+        expected = TreeModel(classes, list(m.column_names), root, config)
         assert model.classes == classes
         assert model.config == config
         assert to_json(model) == to_json(expected)
