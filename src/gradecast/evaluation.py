@@ -173,12 +173,9 @@ def cross_validate(
     if model_kind not in ("regression", "tree"):
         raise ConfigError(f"unknown model_kind {model_kind!r}")
     everything = np.arange(matrix.n_rows)
-    folds = fold_indices(matrix.n_rows, k, seed)
-    train_sets = [np.setdiff1d(everything, fold) for fold in folds]
-    if model_kind == "tree":
-        trees = tree.train_trees(matrix, train_sets)
     per_fold = []
-    for i, (fold, train_idx) in enumerate(zip(folds, train_sets)):
+    for fold in fold_indices(matrix.n_rows, k, seed):
+        train_idx = np.setdiff1d(everything, fold)
         if model_kind == "regression":
             model = regress.fit_least_squares(
                 matrix.values[train_idx],
@@ -189,7 +186,11 @@ def cross_validate(
             predicted = design @ model.coefficients
             per_fold.append(_error_stats(matrix.target[fold].astype(float), predicted))
         else:
-            predicted = tree.predict_many(trees[i], matrix.values[fold])
+            # One train_tree call per fold, not one train_trees call for all
+            # folds: perfbench/spans.py times each fold's tree as a
+            # tree.train_tree span under this call.
+            model = tree.train_tree(matrix.take(train_idx.tolist()))
+            predicted = tree.predict_many(model, matrix.values[fold])
             cm = confusion(matrix.target[fold].tolist(), predicted)
             per_fold.append(class_metrics(cm, target_class))
     if model_kind == "regression":

@@ -6,18 +6,19 @@ midpoints between consecutive distinct sorted values of each column.
 Ties (within a small relative tolerance) keep the earliest feature column
 and the lowest threshold, so induction is fully deterministic.
 
-``train_trees`` grows one tree per row set of a matrix (the training folds
-of a cross validation, say), and ``train_tree`` is its one-set case. Each
-column is binned once per call by its own sorted distinct values, so the
-occupied bins of a node are exactly the node's distinct values: the class
-histogram of SLIQ and SPRINT, with exact bins. The trees grow together, one
-depth at a time: one ``bincount`` gives the (node, class, bin) histogram of
-every frontier node of every tree, and integer cumulative sums along each
-column's bins give every candidate's left class counts. Gains and ratios
-use the same elementwise formulas as a one-node search, so every value is
-bit-identical. A depth is searched in batches of nodes whose bin codes
-(rows x columns) and histogram (nodes x classes x bins) each stay within
-``_CHUNK_CELLS``, which bounds the search's memory on wide matrices.
+``train_trees`` grows one tree per row set of a matrix, and ``train_tree``
+is its one-set case. Each column is binned once per call by its own sorted
+distinct values, so the occupied bins of a node are exactly the node's
+distinct values: the class histogram of SLIQ and SPRINT, with exact bins.
+The trees grow together, one depth at a time: one ``bincount`` gives the
+(node, bin, class) histogram of a batch of frontier nodes, over only the
+bins the batch occupies, and integer cumulative sums along each node's bins
+give every candidate's left class counts. Gains and ratios use the same
+elementwise formulas as a one-node search, so every value is bit-identical.
+A depth is searched in batches of nodes whose cells (rows x columns) and
+histogram (nodes x occupied bins x classes) each stay within
+``_CHUNK_CELLS``, which bounds the search's memory on wide matrices; a node
+too large for that is searched alone.
 
 The tie rule is the one a threshold-by-threshold scan applies: the
 scan-order displacement test runs per node, on the candidates whose ratio
@@ -153,30 +154,43 @@ class TreeModel:
         self._column_index = {name: i for i, name in enumerate(self.column_names)}
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)``, bit for bit. numpy adds fewer than 8 columns left to
+    right, as this does, but slowly along so short an axis."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = a[:, 0]
+    for j in range(1, a.shape[1]):
+        total = total + a[:, j]
+    return total
+
+
 def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Entropy of each row of a (m, k) count matrix with row totals ``sizes``."""
     p = count_rows / sizes[:, None]
-    safe = np.where(p > 0, p, 1.0)
-    return -(np.where(p > 0, p * np.log2(safe), 0.0)).sum(axis=1)
+    terms = np.where(p > 0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
+    return -_row_sums(terms)
 
 
 def _bin_columns(values: np.ndarray):
     """Exact bins: each column binned by its own sorted distinct values.
 
     Returns the (n, m) global bin code of every cell (column j's bins follow
-    column j - 1's), each bin's value and column, and the first bin of each
-    bin's column.
+    column j - 1's), and each bin's value and column.
     """
-    order = np.argsort(values, axis=0, kind="stable")
-    sv = np.take_along_axis(values, order, axis=0)
+    by_column = np.ascontiguousarray(values.T)
+    order = np.argsort(by_column, axis=1)
+    sv = np.take_along_axis(by_column, order, axis=1)
     new = np.ones(sv.shape, dtype=bool)
-    new[1:] = sv[1:] != sv[:-1]
-    per_column = new.sum(axis=0)
+    new[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    per_column = new.sum(axis=1)
     offsets = np.cumsum(per_column) - per_column
-    codes = np.empty(values.shape, dtype=np.intp)
-    np.put_along_axis(codes, order, np.cumsum(new, axis=0) - 1 + offsets, axis=0)
-    column = np.repeat(np.arange(values.shape[1]), per_column)
-    return codes, sv.T[new.T], column, offsets[column]
+    codes = np.empty(sv.shape, dtype=np.intp)
+    np.put_along_axis(codes, order, np.cumsum(new, axis=1) - 1 + offsets[:, None], axis=1)
+    column = np.repeat(np.arange(len(per_column)), per_column)
+    return np.ascontiguousarray(codes.T), sv[new], column
 
 
 def _search(
@@ -188,54 +202,69 @@ def _search(
     ``labels`` and class counts ``counts[i]``, over its tree's classes; a
     hit is (column, threshold, gain, ratio).
     """
-    codes, bin_value, bin_column, bin_start = bins
+    codes, bin_value, bin_column = bins
     n_nodes, k = counts.shape
-    n_bins = len(bin_value)
-    cells = codes[rows] + ((node_of * k + labels) * n_bins)[:, None]
-    hist = np.bincount(cells.ravel(), minlength=n_nodes * k * n_bins)
-    hist = hist.reshape(n_nodes, k, n_bins)
+    # The histogram spans only the bins the batch occupies, so its size is
+    # bounded by the batch's cells, not by the matrix's number of bins.
+    cell_bins = codes[rows]
+    used = np.zeros(len(bin_value), dtype=bool)
+    used[cell_bins] = True
+    slot_of = np.cumsum(used)  # 1 + a used bin's index among the used bins
+    used = np.nonzero(used)[0]
+    n_slots = len(used) + 1
+    bin_value, bin_column = bin_value[used], bin_column[used]
+    # Each cell's (node, slot), flat; slot 0 of every node stays empty, so
+    # that the cumulative sums along a node's slots start from zero.
+    at = slot_of[cell_bins] + (node_of * n_slots)[:, None]
+    occupied = np.zeros(n_nodes * n_slots, dtype=bool)
+    occupied[at] = True
+    hist = np.bincount((at * k + labels[:, None]).ravel(), minlength=n_nodes * n_slots * k)
+    hist = hist.reshape(n_nodes, n_slots, k)
     # The occupied bins of a node are its distinct values, in scan order:
     # column first, then ascending value. A candidate threshold lies between
     # an occupied bin and the next one when both are in the same column.
-    node, b = np.nonzero(hist.any(axis=1))
-    cand = np.nonzero((node[:-1] == node[1:]) & (bin_column[b[:-1]] == bin_column[b[1:]]))[0]
+    at = np.nonzero(occupied)[0]
+    node, slot = np.divmod(at, n_slots)
+    column = bin_column[slot - 1]
+    cand = np.nonzero((node[:-1] == node[1:]) & (column[:-1] == column[1:]))[0]
     results = [None] * n_nodes
     if cand.size == 0:
         return results
-    node, b, b_next = node[cand], b[cand], b[cand + 1]
-    # Class counts up to each bin; a column's counts start from its first.
-    cum = np.zeros((n_nodes, n_bins + 1, k), dtype=np.int64)
-    np.cumsum(hist.transpose(0, 2, 1), axis=1, out=cum[:, 1:])
-    cum = cum.reshape(-1, k)
-    at = node * (n_bins + 1)
-    left_counts = np.take(cum, at + b + 1, axis=0) - np.take(cum, at + bin_start[b], axis=0)
-    # C order, so that each row's entropy terms are summed as a one-node
-    # search sums them.
-    left = left_counts.astype(float, order="C")
-    right = counts[node].astype(float) - left
-    n = counts.sum(axis=1)[node].astype(float)
-    nl = left_counts.sum(axis=1).astype(float)
+    at, node, column = at[cand], node[cand], column[cand]
+    low, high = bin_value[slot[cand] - 1], bin_value[slot[cand + 1] - 1]
+    # Class counts up to each slot. Every row has one cell in each column,
+    # so the columns before column j hold j times the node's class counts.
+    np.cumsum(hist, axis=1, out=hist)
+    node_counts = counts[node]
+    left_counts = np.take(hist.reshape(-1, k), at, axis=0) - column[:, None] * node_counts
+    nl = _row_sums(left_counts).astype(float)
+    n = _row_sums(node_counts).astype(float)
     nr = n - nl
+    # Left and right children stacked, in C order, so that each row's
+    # entropy terms are summed as a one-node search sums them.
+    children = np.concatenate((left_counts, node_counts - left_counts), dtype=float)
+    h_children = _entropy_rows(children, np.concatenate((nl, nr)))
     h_parent = np.array([entropy(c) for c in counts.tolist()])[node]
     wl = nl / n
     wr = nr / n
-    gains = h_parent - wl * _entropy_rows(left, nl) - wr * _entropy_rows(right, nr)
+    gains = h_parent - wl * h_children[: len(cand)] - wr * h_children[len(cand) :]
     split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
     ratios = np.where(gains > _GAIN_EPS, gains / split_info, -np.inf)
     # Only a ratio above every earlier one of its node can clear the
     # displacement bar, which is never below the node's running best, so the
-    # scan visits just those. Bins are in scan order, so a running maximum
-    # along each node's bins finds them.
-    running = np.full((n_nodes, n_bins + 1), -np.inf)
-    running[node, b + 1] = ratios
-    records = np.nonzero(ratios > np.maximum.accumulate(running, axis=1)[node, b])[0]
+    # scan visits just those. Slots are in scan order, so a running maximum
+    # along each node's slots finds them.
+    running = np.full(n_nodes * n_slots, -np.inf)
+    running[at] = ratios
+    running = np.maximum.accumulate(running.reshape(n_nodes, n_slots), axis=1).ravel()
+    records = np.nonzero(ratios > running[at - 1])[0]
     best = {}  # node -> (its displacement bar, candidate)
     for i, c, ratio in zip(node[records].tolist(), records.tolist(), ratios[records].tolist()):
         if i not in best or ratio > best[i][0]:
             best[i] = ratio * (1.0 + _REL_TOL) + _GAIN_EPS, c
     for i, (_bar, c) in best.items():
-        threshold = float((bin_value[b[c]] + bin_value[b_next[c]]) / 2.0)
-        results[i] = int(bin_column[b[c]]), threshold, float(gains[c]), float(ratios[c])
+        threshold = float((low[c] + high[c]) / 2.0)
+        results[i] = int(column[c]), threshold, float(gains[c]), float(ratios[c])
     return results
 
 
@@ -271,15 +300,17 @@ def _majority(counts: np.ndarray, classes: list[object]) -> object:
 
 
 def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
-    """(start, stop) runs of nodes of one class count whose bin codes (rows x
-    columns) and histogram (nodes x classes x bins) each fit in _CHUNK_CELLS,
-    or single nodes."""
+    """(start, stop) runs of nodes of one class count whose cells (rows x
+    columns) and histogram (nodes x classes x occupied bins, at most the
+    fewer of the cells and the matrix's bins) each fit in _CHUNK_CELLS, or
+    single nodes."""
     start, rows = 0, 0
     for i, (size, width) in enumerate(zip(sizes, widths)):
+        cells = (rows + size) * n_columns
         if i > start and (
             width != widths[start]
-            or (rows + size) * n_columns > _CHUNK_CELLS
-            or (i - start + 1) * width * n_bins > _CHUNK_CELLS
+            or cells > _CHUNK_CELLS
+            or (i - start + 1) * width * min(cells, n_bins) > _CHUNK_CELLS
         ):
             yield start, i
             start, rows = i, 0
@@ -290,7 +321,7 @@ def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
 
 def _grow(
     values: np.ndarray,
-    labels: np.ndarray,
+    labels: list[np.ndarray],
     row_sets: list[np.ndarray],
     classes: list[list[object]],
     column_names: list[str],
@@ -298,43 +329,37 @@ def _grow(
 ) -> list[TreeNode]:
     """Grow one tree per row set, all frontier nodes of a depth at once.
 
-    ``labels[t, r]`` is row r's class index in tree t's ``classes[t]``.
+    ``labels[t]`` holds the class indices of ``row_sets[t]`` in tree t's
+    ``classes[t]``.
     """
     bins = _bin_columns(values)
     widths = [len(c) for c in classes]
-    n_classes = np.array(widths)
     k = max(widths)
     tops = [Split("", 0.0, None, None) for _ in row_sets]  # roots in left slots
-    # One (tree, parent, slot) per frontier node; the nodes' rows lie back
-    # to back in ``rows``.
+    # One (tree, parent, slot) per frontier node; the nodes' rows, and their
+    # class indices, lie back to back in ``rows`` and ``labels``.
     frontier = [(t, top, "left") for t, top in enumerate(tops)]
-    tree_of = np.arange(len(row_sets))
-    rows = np.concatenate(row_sets)
+    rows, labels = np.concatenate(row_sets), np.concatenate(labels)
     sizes = np.array([len(r) for r in row_sets])
     while frontier:
         n_nodes = len(frontier)
         node_of = np.repeat(np.arange(n_nodes), sizes)
-        node_labels = labels[tree_of[node_of], rows]
-        counts = np.bincount(node_of * k + node_labels, minlength=n_nodes * k)
-        counts = counts.reshape(n_nodes, k)
-        searched = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * config.min_leaf)
-        picked = searched[node_of]
-        s_rows, s_labels = rows[picked], node_labels[picked]
-        s_node = (np.cumsum(searched) - 1)[node_of[picked]]
-        searched = np.nonzero(searched)[0]
-        bounds = np.concatenate(([0], np.cumsum(sizes[searched])))
+        counts = np.bincount(node_of * k + labels, minlength=n_nodes * k).reshape(n_nodes, k)
+        # A node of one class has no split of positive gain, so only nodes
+        # too small to split are set aside after the search.
         column = np.full(n_nodes, -1)
         threshold = np.zeros(n_nodes)
-        s_widths = n_classes[tree_of[searched]].tolist()
-        for lo, hi in _chunks(sizes[searched].tolist(), s_widths, values.shape[1], len(bins[1])):
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        node_widths = [widths[t] for t, _parent, _slot in frontier]
+        for lo, hi in _chunks(sizes.tolist(), node_widths, values.shape[1], len(bins[1])):
             r = slice(bounds[lo], bounds[hi])
-            batch = searched[lo:hi]
             found = _search(
-                bins, s_rows[r], s_node[r] - lo, s_labels[r], counts[batch, : s_widths[lo]]
+                bins, rows[r], node_of[r] - lo, labels[r], counts[lo:hi, : node_widths[lo]]
             )
-            for i, hit in zip(batch.tolist(), found):
+            for i, hit in enumerate(found, lo):
                 if hit is not None:
                     column[i], threshold[i] = hit[0], hit[1]
+        column[sizes < 2 * config.min_leaf] = -1
         split = column >= 0
         if split.any():
             # Routed by value, not by bin: a midpoint can round onto the
@@ -358,9 +383,9 @@ def _grow(
         if next_frontier:
             keep = split[node_of]
             child = (2 * node_of + ~go_left)[keep]
-            rows = rows[keep][np.argsort(child, kind="stable")]
+            order = np.argsort(child, kind="stable")
+            rows, labels = rows[keep][order], labels[keep][order]
             sizes = np.bincount(child, minlength=2 * n_nodes).reshape(n_nodes, 2)[split].ravel()
-            tree_of = np.repeat(tree_of[split], 2)
         frontier = next_frontier
     return [top.left for top in tops]
 
@@ -428,10 +453,10 @@ def train_trees(
     if not row_sets:
         return []
     classes = [class_order(matrix.target[rows]) for rows in row_sets]
-    labels = np.zeros((len(row_sets), matrix.n_rows), dtype=np.intp)
-    for t, rows in enumerate(row_sets):
-        index = {c: i for i, c in enumerate(classes[t])}
-        labels[t, rows] = [index[y] for y in matrix.target[rows]]
+    labels = []
+    for cls, rows in zip(classes, row_sets):
+        index = {c: i for i, c in enumerate(cls)}
+        labels.append(np.array([index[y] for y in matrix.target[rows]], dtype=np.intp))
     column_names = list(matrix.column_names)
     roots = _grow(matrix.values, labels, row_sets, classes, column_names, config)
     if config.pruning:
