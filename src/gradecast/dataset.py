@@ -8,8 +8,19 @@ Input files (all UTF-8 CSV with a header row; a BOM is allowed):
                 outcomes is a string over {P,F,C}, one character per testcase
 * grades:       student_id,midterm,final (empty field = exam missed)
 
-A bad row raises an error naming ``path:line``, the physical line the row
-starts on, counting blank lines and line breaks inside quoted fields.
+Each file is read straight into columns, one list of strings per required
+field, with no per-row Python beyond ``csv.reader`` itself. A bad row raises
+an error naming ``path:line``, the physical line the row starts on, counting
+blank lines and line breaks inside quoted fields; that line is found only
+when the error is raised, by reading the file again up to the row. A byte
+that is not UTF-8 raises a ParseError naming its physical line.
+
+Submission times are parsed as one block when every text has the plain
+``YYYY-MM-DDTHH:MM:SSZ`` form: the texts are joined into an (n, 20) byte
+array, its digits and separators are checked in a few array comparisons
+(year 0000 is refused, as ``datetime`` refuses it), and numpy parses the
+first 19 columns. A column with any other form, or a field out of range,
+is parsed text by text with ``parse_timestamp``.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -21,18 +32,19 @@ since the epoch, exact for any datetime, sub-second ones included;
 ``_passed`` counts ``P`` outcomes; ``_outcomes`` is one flat uint8 buffer of
 outcome characters, task ``t``'s rows a (rows, testcase_count) block at
 ``_task_bytes[t]``. File rows and records go through one validator, which
-raises the error of the earliest bad row.
+raises the error of the earliest bad row. The exam grades are arrays too:
+``midterm`` and ``final`` hold the retained students' grades in
+``student_ids`` order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -44,8 +56,11 @@ from .errors import ConfigError, ParseError, ReferentialError
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _NO_TIME = np.iinfo(np.int64).min  # a timestamp that did not parse
-# The one timestamp form numpy parses exactly as parse_timestamp does.
-_PLAIN_UTC = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# The one timestamp form numpy parses exactly as parse_timestamp does,
+# YYYY-MM-DDTHH:MM:SSZ: where its digits and its separators sit.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = [4, 7, 10, 13, 16, 19]
+_SEPARATOR_BYTES = np.frombuffer(b"--T::Z", np.uint8)
 
 
 class Outcome(Enum):
@@ -76,8 +91,8 @@ class CourseTimeline:
     def __post_init__(self):
         if self.midterm_date >= self.final_date:
             raise ConfigError("midterm_date must precede final_date")
-        if self.midterm_max <= 0 or self.final_max <= 0:
-            raise ConfigError("exam maxima must be positive")
+        if not (0 < self.midterm_max < math.inf and 0 < self.final_max < math.inf):
+            raise ConfigError("exam maxima must be positive and finite")
 
     def exam_date(self, exam: str) -> datetime:
         return self.midterm_date if exam == "midterm" else self.final_date
@@ -138,16 +153,16 @@ class _Rows(NamedTuple):
     outcomes: list[str]
     path: object = None  # the file the rows came from; None for records
     times: list[str] | None = None  # a file's timestamp texts
-    lines: list[int] | None = None  # a file's physical line of each row
 
     def error(self, i: int, referential: bool, message: str) -> Exception:
         """Row ``i``'s error: file rows name ``path:line``, records their ids."""
         if self.path is None:
             text = f"submission {self.student_ids[i]}/{self.task_ids[i]}: {message}"
             return ReferentialError(text) if referential else ConfigError(text)
+        line_no = _row_line(self.path, i)
         if referential:
-            return ReferentialError(f"{self.path}:{self.lines[i]}: {message}")
-        return ParseError(self.path, self.lines[i], message)
+            return ReferentialError(f"{self.path}:{line_no}: {message}")
+        return ParseError(self.path, line_no, message)
 
 
 class Dataset:
@@ -194,6 +209,8 @@ class Dataset:
 
         self.grades: dict[str, GradeRecord] = retained
         self.student_ids: tuple[str, ...] = tuple(sorted(retained))
+        self.midterm = np.array([retained[sid].midterm for sid in self.student_ids])
+        self.final = np.array([retained[sid].final for sid in self.student_ids])
         # A retained student's row index; excluded students get -2, -3, ...
         self._codes = {sid: -2 - i for i, sid in enumerate(excluded)}
         self._codes.update((sid, i) for i, sid in enumerate(self.student_ids))
@@ -209,15 +226,13 @@ class Dataset:
     def _store(self, rows: _Rows) -> None:
         """Validate the rows; keep the retained students' rows as columns."""
         n = len(rows.task_ids)
-        task = np.array([self._task_index.get(t, -1) for t in rows.task_ids], dtype=np.int64)
-        student = np.array([self._codes.get(s, -1) for s in rows.student_ids], dtype=np.int64)
+        task = np.fromiter(map(self._task_index.get, rows.task_ids, repeat(-1)), np.int64, n)
+        student = np.fromiter(map(self._codes.get, rows.student_ids, repeat(-1)), np.int64, n)
         widths = np.array([t.testcase_count for t in self.tasks] + [-1])  # -1: unknown task
         lengths = np.fromiter(map(len, rows.outcomes), np.int64, n)
+        ends = np.cumsum(lengths)
         chars = np.frombuffer("".join(rows.outcomes).encode("ascii", "replace"), np.uint8)
-        row_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
-        passed, failed, compiled = (
-            np.bincount(row_of[chars == ord(c)], minlength=n) for c in "PFC"
-        )
+        passed, failed, compiled = (_counts_at(chars == ord(c), ends) for c in "PFC")
         # Stable: the later row of an equal (task, student, time) pair is flagged.
         order = np.lexsort((rows.time_us, student, task))
         keys = np.stack([task, student, rows.time_us])[:, order]
@@ -249,7 +264,7 @@ class Dataset:
 
         keep = order[student[order] >= 0]
         self._student, self._time_us, self._passed = student[keep], rows.time_us[keep], passed[keep]
-        text = "".join([rows.outcomes[i] for i in keep.tolist()])
+        text = "".join(map(rows.outcomes.__getitem__, keep.tolist()))
         self._outcomes = np.frombuffer(text.encode("ascii"), np.uint8)
         self._task_rows = np.searchsorted(task[keep], np.arange(len(self.tasks) + 1))
         self._task_bytes = np.cumsum([0, *(np.diff(self._task_rows) * widths[:-1])])
@@ -291,9 +306,6 @@ class Dataset:
         times = [_EPOCH + us * _MICROSECOND for us in rows.time_us.tolist()]
         outcomes = [tuple(map(Outcome, chars.tobytes().decode())) for chars in rows.outcomes]
         return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, outcomes)]
-
-    def grade(self, student_id: str, exam: str) -> float:
-        return self.grades[student_id].exam(exam)
 
 
 def tasks_before(dataset: Dataset, cutoff: datetime) -> list[TaskSpec]:
@@ -338,61 +350,114 @@ def _parsed_us(text: str) -> int:
 
 
 def _epoch_us_column(texts: list[str]) -> np.ndarray:
-    """``_parsed_us`` of each text; numpy parses a column that is all in the
-    plain ``YYYY-MM-DDTHH:MM:SSZ`` form in one call."""
-    if all(map(_PLAIN_UTC.fullmatch, texts)):
-        with contextlib.suppress(ValueError):  # a field out of range
-            return np.array(texts, dtype="U19").astype("datetime64[us]").view(np.int64)
+    """``_parsed_us`` of each text; a column that is all in the plain
+    ``YYYY-MM-DDTHH:MM:SSZ`` form is checked and parsed as one byte block."""
+    n = len(texts)
+    if n and min(map(len, texts)) == max(map(len, texts)) == 20:
+        # "replace" keeps one byte per character, so each text is one row.
+        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
+        block = block.reshape(n, 20)
+        if (
+            (block[:, _DIGITS] - np.uint8(ord("0")) < 10).all()
+            and (block[:, _SEPARATORS] == _SEPARATOR_BYTES).all()
+            and (block[:, :4] != ord("0")).any(axis=1).all()
+        ):
+            stamps = np.ascontiguousarray(block[:, :19]).view("S19").ravel()
+            try:
+                return stamps.astype("datetime64[us]").view(np.int64)
+            except ValueError:  # a field out of range
+                pass
     return np.array([_parsed_us(t) for t in texts], dtype=np.int64)
 
 
-def _read_rows(path, required: list[str]) -> tuple[list[int], list[tuple[str, ...]]]:
-    """The physical line each row starts on, and its required fields. Blank
+def _counts_at(hits: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many ``hits`` fall in each of the runs that end at ``ends``."""
+    # int32 sums wrap past 2**31 hits, but their differences stay exact.
+    total = np.zeros(len(hits) + 1, dtype=np.int32)
+    np.cumsum(hits, dtype=np.int32, out=total[1:])
+    return np.diff(total[ends], prepend=0)
+
+
+def _bad_byte_line(path) -> int:
+    """The physical line of the file's first byte that is not UTF-8."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start]
+    raw = raw.replace(b"\r\n", b"\n")
+    return raw.count(b"\n") + raw.count(b"\r") + 1
+
+
+def _open_csv(path):
+    """The file opened for ``csv.reader``: a BOM is dropped, line ends kept."""
+    return Path(path).open(newline="", encoding="utf-8-sig")
+
+
+def _read_rows(path, required: list[str]) -> list[list[str]]:
+    """The required fields of the file's rows, one list per field. Blank
     lines are skipped; missing fields read as empty; a UTF-8 BOM is dropped."""
-    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
-        column = {name: i for i, name in enumerate(header)}
-        fields = itemgetter(*(column[c] for c in required))
+    try:
+        with _open_csv(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError:
+        raise ParseError(path, _bad_byte_line(path), "text is not UTF-8") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(path, reader.line_num, str(exc)) from None
+    if rows and min(map(len, rows)) < len(header):
         pad = [""] * len(header)
-        lines, rows, start = [], [], reader.line_num + 1
+        rows = [row + pad[len(row) :] for row in rows]
+    column = {name: i for i, name in enumerate(header)}
+    return [list(map(itemgetter(column[c]), rows)) for c in required]
+
+
+def _row_line(path, i: int) -> int:
+    """The physical line on which the file's non-blank data row ``i`` starts,
+    counting blank lines and line breaks inside quoted fields."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start, rows_before = reader.line_num + 1, 0
         for row in reader:
             if row:
-                lines.append(start)
-                rows.append(fields(row + pad[len(row) :]))
+                if rows_before == i:
+                    return start
+                rows_before += 1
             start = reader.line_num + 1
-        return lines, rows
+    raise IndexError(f"{path} has no data row {i}")
 
 
 def _read_tasks(path) -> list[TaskSpec]:
     tasks = []
-    lines, rows = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
-    for line_no, (task_id, assignment_id, deadline, testcase_ids) in zip(lines, rows):
+    columns = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
+    for i, (task_id, assignment_id, deadline, testcase_ids) in enumerate(zip(*columns)):
         try:
             when = parse_timestamp(deadline)
         except ValueError:
-            raise ParseError(path, line_no, f"bad timestamp {deadline!r}") from None
+            raise ParseError(path, _row_line(path, i), f"bad timestamp {deadline!r}") from None
         ids = tuple(t for t in testcase_ids.split(";") if t)
         if not ids:
-            raise ParseError(path, line_no, "task has no testcase_ids")
+            raise ParseError(path, _row_line(path, i), "task has no testcase_ids")
         if len(set(ids)) != len(ids):
-            raise ParseError(path, line_no, "duplicate testcase ids")
+            raise ParseError(path, _row_line(path, i), "duplicate testcase ids")
         tasks.append(TaskSpec(task_id, assignment_id, when, ids))
     return tasks
 
 
 def _read_submissions(path) -> _Rows:
     """The submissions file as raw columns, validated by ``Dataset``."""
-    lines, rows = _read_rows(path, ["student_id", "task_id", "submitted_at", "outcomes"])
-    students, tasks, times, outcomes = map(list, zip(*rows)) if rows else ([],) * 4
-    outcomes = [o.strip() for o in outcomes]
-    return _Rows(students, tasks, _epoch_us_column(times), outcomes, path, times, lines)
+    fields = ["student_id", "task_id", "submitted_at", "outcomes"]
+    students, tasks, times, outcomes = _read_rows(path, fields)
+    outcomes = list(map(str.strip, outcomes))
+    return _Rows(students, tasks, _epoch_us_column(times), outcomes, path, times)
 
 
-def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> float | None:
+def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float | None:
     text = raw.strip()
     if not text:
         return None
@@ -401,10 +466,10 @@ def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> fl
         if math.isnan(value):
             raise ValueError(text)
     except ValueError:
-        raise ParseError(path, line_no, f"bad {label} grade {raw!r}") from None
+        raise ParseError(path, _row_line(path, row), f"bad {label} grade {raw!r}") from None
     if value < 0 or value > maximum:
         raise ParseError(
-            path, line_no, f"{label} grade {value} outside [0, {maximum}]"
+            path, _row_line(path, row), f"{label} grade {value} outside [0, {maximum}]"
         )
     return value
 
@@ -412,16 +477,16 @@ def _parse_grade(raw: str, maximum: float, path, line_no: int, label: str) -> fl
 def _read_grades(path, timeline: CourseTimeline) -> list[GradeRecord]:
     grades = []
     seen: set[str] = set()
-    lines, rows = _read_rows(path, ["student_id", "midterm", "final"])
-    for line_no, (sid, midterm, final) in zip(lines, rows):
+    columns = _read_rows(path, ["student_id", "midterm", "final"])
+    for i, (sid, midterm, final) in enumerate(zip(*columns)):
         if sid in seen:
-            raise ParseError(path, line_no, f"duplicate grade row for {sid}")
+            raise ParseError(path, _row_line(path, i), f"duplicate grade row for {sid}")
         seen.add(sid)
         grades.append(
             GradeRecord(
                 sid,
-                _parse_grade(midterm, timeline.midterm_max, path, line_no, "midterm"),
-                _parse_grade(final, timeline.final_max, path, line_no, "final"),
+                _parse_grade(midterm, timeline.midterm_max, path, i, "midterm"),
+                _parse_grade(final, timeline.final_max, path, i, "final"),
             )
         )
     return grades
@@ -436,23 +501,34 @@ def load_dataset(tasks_path, submissions_path, grades_path, timeline: CourseTime
 
 def timeline_from_file(path) -> CourseTimeline:
     """Parse a key=value config file holding the four timeline fields."""
-    values: dict[str, str] = {}
     path = Path(path)
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise ParseError(path, _bad_byte_line(path), "text is not UTF-8") from None
+    values: dict[str, tuple[int, str]] = {}  # key -> (line, value)
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(path, line_no, "expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    required = ["midterm_date", "final_date", "midterm_max", "final_max"]
-    missing = [k for k in required if k not in values]
+        values[key.strip()] = (line_no, value.strip())
+    parsers = {
+        "midterm_date": parse_timestamp,
+        "final_date": parse_timestamp,
+        "midterm_max": float,
+        "final_max": float,
+    }
+    missing = [k for k in parsers if k not in values]
     if missing:
         raise ConfigError(f"timeline file missing keys: {', '.join(missing)}")
-    return CourseTimeline(
-        midterm_date=parse_timestamp(values["midterm_date"]),
-        final_date=parse_timestamp(values["final_date"]),
-        midterm_max=float(values["midterm_max"]),
-        final_max=float(values["final_max"]),
-    )
+    fields = {}
+    for key, parse in parsers.items():
+        line_no, value = values[key]
+        try:
+            fields[key] = parse(value)
+        except ValueError:
+            raise ParseError(path, line_no, f"bad {key} {value!r}") from None
+    return CourseTimeline(**fields)

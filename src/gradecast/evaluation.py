@@ -172,10 +172,11 @@ def cross_validate(
         raise ConfigError("cross_validate requires a target column")
     if model_kind not in ("regression", "tree"):
         raise ConfigError(f"unknown model_kind {model_kind!r}")
-    everything = np.arange(matrix.n_rows)
     per_fold = []
     for fold in fold_indices(matrix.n_rows, k, seed):
-        train_idx = np.setdiff1d(everything, fold)
+        train = np.ones(matrix.n_rows, dtype=bool)
+        train[fold] = False
+        train_idx = np.flatnonzero(train)
         if model_kind == "regression":
             model = regress.fit_least_squares(
                 matrix.values[train_idx],

@@ -184,6 +184,5 @@ def build_feature_matrix(
 
     matrix = FeatureMatrix(students, columns, np.hstack(blocks))
     if target != "none":
-        grades = np.array([dataset.grade(sid, target) for sid in students])
-        matrix = matrix.with_target(grades, target)
+        matrix = matrix.with_target(getattr(dataset, target).copy(), target)
     return matrix

@@ -1,6 +1,11 @@
-from datetime import timedelta
+import csv
+from datetime import datetime, timedelta
+from operator import itemgetter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradecast.dataset import (
     Dataset,
@@ -9,6 +14,11 @@ from gradecast.dataset import (
     best_submission,
     tasks_before,
     timeline_from_file,
+    _epoch_us_column,
+    _parsed_us,
+    _read_rows,
+    _row_line,
+    _Rows,
 )
 from gradecast.errors import ConfigError, ParseError, ReferentialError
 
@@ -384,3 +394,212 @@ def test_submissions_are_rebuilt_from_columns_oldest_first(small_dataset):
     assert [s.passed_count for s in subs] == [1, 3, 4]
     assert subs[0] == sub("s1", "t1", hours_before(d1, 50.0), "PFFF")
     assert small_dataset.submissions("nobody", "t1") == []
+
+
+# ------------------------------------------------ typed errors on bad input
+
+
+@pytest.mark.parametrize("kind", ["tasks", "submissions", "grades"])
+def test_byte_that_is_not_utf8_names_its_physical_line(tmp_path, kind):
+    # After a blank line and a quoted field over two lines, with CRLF line
+    # ends, the 0xFF byte sits on physical line 7 of each file.
+    text = {"tasks": TASKS_CSV, "submissions": SUBMISSIONS_CSV, "grades": GRADES_CSV}[kind]
+    header, first = text.splitlines()[:2]
+    raw = f'{header}\r\n{first}\r\n\r\nx,y\r\n"two\r\nlines",z\r\n'.encode()
+    raw += b"bad\xffbyte,z\r\n"
+    paths = write_inputs(tmp_path)
+    paths[kind].write_bytes(raw)
+    with pytest.raises(ParseError, match=rf"{kind}\.csv:7: text is not UTF-8") as err:
+        load(paths)
+    assert err.value.line_no == 7
+
+
+def test_field_over_the_csv_limit_is_a_parse_error(tmp_path):
+    submissions = SUBMISSIONS_CSV + "s1,t1,2016-10-03T10:00:00Z," + "P" * 200_000 + "\n"
+    with pytest.raises(ParseError, match=r"submissions\.csv:6: field larger"):
+        load(write_inputs(tmp_path, submissions=submissions))
+
+
+TIMELINE_CFG = (
+    "midterm_date=2016-10-24T12:00:00Z\n"
+    "final_date=2016-12-15T09:00:00Z\n"
+    "# maxima\n"
+    "midterm_max=110\n"
+    "final_max=120\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("midterm_max=110", "midterm_max=abc", 4),
+        ("final_max=120", "final_max=", 5),
+        ("midterm_date=2016-10-24", "midterm_date=2016-13-20", 1),
+        ("final_date=2016-12-15T09:00:00Z", "final_date=soon", 2),
+    ],
+)
+def test_timeline_value_that_does_not_parse_names_its_line(tmp_path, old, new, line):
+    cfg = tmp_path / "timeline.cfg"
+    cfg.write_text(TIMELINE_CFG.replace(old, new))
+    key = new.partition("=")[0]
+    with pytest.raises(ParseError, match=rf"timeline\.cfg:{line}: bad {key} ") as err:
+        timeline_from_file(cfg)
+    assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("maximum", ["nan", "inf", "0"])
+def test_timeline_maximum_that_is_not_positive_and_finite_is_rejected(tmp_path, maximum):
+    cfg = tmp_path / "timeline.cfg"
+    cfg.write_text(TIMELINE_CFG.replace("midterm_max=110", f"midterm_max={maximum}"))
+    with pytest.raises(ConfigError, match="exam maxima must be positive"):
+        timeline_from_file(cfg)
+
+
+def test_timeline_file_that_is_not_utf8_names_the_line(tmp_path):
+    cfg = tmp_path / "timeline.cfg"
+    cfg.write_bytes(TIMELINE_CFG.replace("# maxima", "# \xe9t\xe9").encode("latin-1"))
+    with pytest.raises(ParseError, match=r"timeline\.cfg:3: text is not UTF-8"):
+        timeline_from_file(cfg)
+
+
+def test_timeline_file_with_a_bom_loads(tmp_path):
+    cfg = tmp_path / "timeline.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + TIMELINE_CFG.encode())
+    assert timeline_from_file(cfg) == make_timeline()
+
+
+# ------------------------------------------------ grades as arrays
+
+
+def test_grades_are_arrays_in_student_order(tmp_path):
+    grades = "student_id,midterm,final\ns2,40,45\ns3,,50\ns1,95.5,100\n"
+    ds = load(write_inputs(tmp_path, grades=grades))
+    assert ds.student_ids == ("s1", "s2")
+    assert ds.midterm.tolist() == [95.5, 40.0]
+    assert ds.final.tolist() == [100.0, 45.0]
+    assert ds.midterm.dtype == ds.final.dtype == np.float64
+    for exam in ("midterm", "final"):
+        assert getattr(ds, exam).tolist() == [ds.grades[s].exam(exam) for s in ds.student_ids]
+
+
+# ------------------------------------------------ columns and one-block times
+
+
+def frozen_read_rows(path, required):
+    """The row reader the columnar one replaced: each row's physical start
+    line, and its required fields, recorded row by row."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+        column = {name: i for i, name in enumerate(header)}
+        fields = itemgetter(*(column[c] for c in required))
+        pad = [""] * len(header)
+        lines, rows, start = [], [], reader.line_num + 1
+        for row in reader:
+            if row:
+                lines.append(start)
+                rows.append(fields(row + pad[len(row) :]))
+            start = reader.line_num + 1
+        return lines, rows
+
+
+def _csv_field(text, quote):
+    if quote or any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+csv_fields = st.tuples(st.text(alphabet='ab ,"\r\né', max_size=5), st.booleans())
+csv_lines = st.tuples(
+    st.lists(csv_fields, max_size=6),  # fewer or more fields than the header
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.integers(0, 2),  # blank lines after the row
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    header=st.permutations(["a", "b", "c", "d"]),
+    required=st.sampled_from([["a", "b"], ["d", "b", "c"], ["a", "b", "c", "d"]]),
+    lines=st.lists(csv_lines, max_size=12),
+    bom=st.booleans(),
+    last_end=st.booleans(),
+)
+def test_columns_and_row_lines_equal_the_row_by_row_reader(
+    tmp_path_factory, header, required, lines, bom, last_end
+):
+    text = ",".join(header) + "\n"
+    for fields, end, blanks in lines:
+        text += ",".join(_csv_field(*f) for f in fields) + end + end * blanks
+    if not last_end:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+
+    starts, rows = frozen_read_rows(path, required)
+    columns = _read_rows(path, required)
+    assert columns == [[row[j] for row in rows] for j in range(len(required))]
+    for i, start in enumerate(starts):
+        assert _row_line(path, i) == start
+        n = len(rows)
+        error = _Rows(columns[0], columns[1], np.zeros(n, np.int64), [""] * n, path).error(
+            i, False, "bad"
+        )
+        assert error.line_no == start
+
+
+def test_columns_of_a_file_missing_a_required_column(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,c\n1,2\n")
+    with pytest.raises(ParseError, match="rows.csv:1: missing columns: b"):
+        _read_rows(path, ["a", "b"])
+
+
+def _stamp(when):
+    return when.strftime("%Y-%m-%dT%H:%M:%S").rjust(19, "0") + "Z"
+
+
+# Each turns a plain stamp into a near miss of the one-block form.
+NEAR_MISSES = {
+    "year 0000": lambda s: "0000" + s[4:],
+    "month 00": lambda s: s[:5] + "00" + s[7:],
+    "month 13": lambda s: s[:5] + "13" + s[7:],
+    "february 30": lambda s: s[:5] + "02-30" + s[10:],
+    "hour 24": lambda s: s[:11] + "24" + s[13:],
+    "second 60": lambda s: s[:17] + "60Z",
+    "lowercase z": lambda s: s[:19] + "z",
+    "+00:00 suffix": lambda s: s[:19] + "+00:00",
+    "19 characters": lambda s: s[:19],
+    "21 characters": lambda s: s + " ",
+    "fractional second": lambda s: s[:19] + ".25Z",
+    "space for T": lambda s: s[:10] + " " + s[11:],
+    "space in the year": lambda s: " " + s[1:],
+    "sign in the year": lambda s: "-" + s[1:],
+    "arabic-indic digit": lambda s: s[:3] + "٣" + s[4:],
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    stamps=st.lists(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        min_size=1,
+        max_size=20,
+    ),
+    miss=st.sampled_from([None, *NEAR_MISSES]),
+    where=st.integers(0, 19),
+)
+def test_one_block_timestamps_equal_the_text_by_text_parse(stamps, miss, where):
+    texts = [_stamp(when.replace(microsecond=0)) for when in stamps]
+    if miss is not None:
+        i = where % len(texts)
+        texts[i] = NEAR_MISSES[miss](texts[i])
+    assert _epoch_us_column(texts).tolist() == [_parsed_us(t) for t in texts]
+
+
+def test_one_block_timestamps_of_an_empty_column():
+    assert _epoch_us_column([]).dtype == np.int64
+    assert len(_epoch_us_column([])) == 0
