@@ -355,8 +355,7 @@ def _epoch_us_column(texts: list[str]) -> np.ndarray:
     n = len(texts)
     if n and min(map(len, texts)) == max(map(len, texts)) == 20:
         # "replace" keeps one byte per character, so each text is one row.
-        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
-        block = block.reshape(n, 20)
+        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8).reshape(n, 20)
         if (
             (block[:, _DIGITS] - np.uint8(ord("0")) < 10).all()
             and (block[:, _SEPARATORS] == _SEPARATOR_BYTES).all()
