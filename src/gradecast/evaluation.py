@@ -100,35 +100,45 @@ def pearson(x, y) -> float | None:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("pearson requires two equal-length series of length >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return float(xc @ yc) / np.sqrt(sxx * syy)
+    return _correlations(x[None], y[None])[0]
 
 
-def _error_stats(actual, predicted) -> RegressionReport:
-    actual = np.asarray(actual, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
+def _correlations(x: np.ndarray, y: np.ndarray) -> list[float | None]:
+    """``pearson`` of each row of x (k, n) and y (k, n), bit for bit: the
+    stacked (k, 1, n) @ (k, n, 1) products are one dot product per row."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sxx, syy, sxy = (
+        (a[:, None, :] @ b[:, :, None])[:, 0, 0] for a, b in ((xc, xc), (yc, yc), (xc, yc))
+    )
+    return [
+        None if a == 0.0 or b == 0.0 else float(c / np.sqrt(a * b))
+        for a, b, c in zip(sxx.tolist(), syy.tolist(), sxy.tolist())
+    ]
+
+
+def _error_stats(actual: np.ndarray, predicted: np.ndarray) -> list[RegressionReport]:
+    """A RegressionReport per row of actual (k, n) and predicted (k, n)."""
     diff = predicted - actual
-    n = len(diff)
-    mean_error = float(diff.mean())
-    std_error = float(diff.std(ddof=1)) if n >= 2 else None
-    correlation = pearson(actual, predicted) if n >= 2 else None
-    mae = float(np.abs(diff).mean())
-    rmse = float(np.sqrt((diff**2).mean()))
-    return RegressionReport(mean_error, std_error, correlation, mae, rmse)
+    k, n = diff.shape
+    undefined = [None] * k
+    columns = [
+        diff.mean(axis=1).tolist(),
+        diff.std(axis=1, ddof=1).tolist() if n >= 2 else undefined,
+        _correlations(actual, predicted) if n >= 2 else undefined,
+        np.abs(diff).mean(axis=1).tolist(),
+        np.sqrt((diff**2).mean(axis=1)).tolist(),
+    ]
+    return [RegressionReport(*row) for row in zip(*columns)]
 
 
 def regression_report(actual, predicted) -> RegressionReport:
     """Error statistics of predictions against actual values."""
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
-    if actual.shape != predicted.shape or len(actual) < 2:
+    if actual.shape != predicted.shape or actual.ndim != 1 or len(actual) < 2:
         raise ValueError("regression_report requires equal lengths >= 2")
-    return _error_stats(actual, predicted)
+    return _error_stats(actual[None], predicted[None])[0]
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -165,6 +175,13 @@ def cross_validate(
     ``model_kind`` is ``"regression"`` (untransformed least squares; returns
     an averaged RegressionReport) or ``"tree"`` (returns averaged
     ClassMetrics for ``target_class``).
+
+    Fold sizes differ by at most one, so the regression folds form at most
+    two stacks of equal shape. ``regress.fold_predictions`` fits each stack
+    with one QR and one solve, and each stack's error statistics are axis
+    reductions: the report equals, bit for bit, that of a loop calling
+    ``fit_least_squares`` per fold, and a fold that cannot be fitted raises
+    that loop's error.
     """
     from . import regress, tree  # late import to keep module deps one-way
 
@@ -172,28 +189,33 @@ def cross_validate(
         raise ConfigError("cross_validate requires a target column")
     if model_kind not in ("regression", "tree"):
         raise ConfigError(f"unknown model_kind {model_kind!r}")
+    folds = fold_indices(matrix.n_rows, k, seed)
     per_fold = []
-    for fold in fold_indices(matrix.n_rows, k, seed):
+    if model_kind == "regression":
+        target = matrix.target.astype(float)
+        fold_of = np.empty(matrix.n_rows, dtype=np.intp)
+        for i, fold in enumerate(folds):
+            fold_of[fold] = i
+        sizes = np.array([len(fold) for fold in folds])
+        # fold_indices puts the larger folds first: stacks in that order keep
+        # fold order.
+        for size in dict.fromkeys(sizes.tolist()):
+            ids = np.flatnonzero(sizes == size)
+            train = np.nonzero(fold_of != ids[:, None])[1].reshape(len(ids), -1)
+            test = np.stack([folds[i] for i in ids])
+            predicted = regress.fold_predictions(
+                matrix.values, target, train, test, matrix.column_names
+            )
+            per_fold.extend(_error_stats(target[test], predicted))
+        return _fold_mean(RegressionReport, per_fold)
+    for fold in folds:
         train = np.ones(matrix.n_rows, dtype=bool)
         train[fold] = False
-        train_idx = np.flatnonzero(train)
-        if model_kind == "regression":
-            model = regress.fit_least_squares(
-                matrix.values[train_idx],
-                matrix.target[train_idx].astype(float),
-                matrix.column_names,
-            )
-            design = np.column_stack([np.ones(len(fold)), matrix.values[fold]])
-            predicted = design @ model.coefficients
-            per_fold.append(_error_stats(matrix.target[fold].astype(float), predicted))
-        else:
-            # One train_tree call per fold, not one train_trees call for all
-            # folds: perfbench/spans.py times each fold's tree as a
-            # tree.train_tree span under this call.
-            model = tree.train_tree(matrix.take(train_idx.tolist()))
-            predicted = tree.predict_many(model, matrix.values[fold])
-            cm = confusion(matrix.target[fold].tolist(), predicted)
-            per_fold.append(class_metrics(cm, target_class))
-    if model_kind == "regression":
-        return _fold_mean(RegressionReport, per_fold)
+        # One train_tree call per fold, not one train_trees call for all
+        # folds: perfbench/spans.py times each fold's tree as a
+        # tree.train_tree span under this call.
+        model = tree.train_tree(matrix.take(np.flatnonzero(train).tolist()))
+        predicted = tree.predict_many(model, matrix.values[fold])
+        cm = confusion(matrix.target[fold].tolist(), predicted)
+        per_fold.append(class_metrics(cm, target_class))
     return _fold_mean(ClassMetrics, per_fold, cls=target_class)

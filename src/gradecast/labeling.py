@@ -2,12 +2,12 @@
 
 Grades above 80 points are good performance (GP), below 50 poor (PP), the
 rest satisfactory (SP); both boundaries fall into SP. The thresholds apply
-to raw exam points for both exams.
+to raw exam points for both exams. A negative or NaN grade has no category
+and raises ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -32,6 +32,7 @@ CATEGORY_ORDER = (
     PerformanceCategory.SP,
     PerformanceCategory.GP,
 )
+_CATEGORIES = np.array(CATEGORY_ORDER, dtype=object)
 
 
 def class_order(labels) -> list[object]:
@@ -48,18 +49,21 @@ def round_half_up(x: float, digits: int = 2) -> float:
     return float(Decimal.from_float(float(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
+def _category_codes(grades) -> np.ndarray:
+    """Each grade's index into CATEGORY_ORDER; a negative or NaN grade raises."""
+    grades = np.asarray(grades, dtype=float)
+    bad = np.flatnonzero(~(grades >= 0))
+    if bad.size:
+        raise ValueError(f"grade must be non-negative, got {grades.flat[bad[0]]}")
+    return (grades >= 50).astype(np.intp) + (grades > 80)
+
+
 def categorize(grade: float) -> PerformanceCategory:
-    if grade < 0:
-        raise ValueError(f"grade must be non-negative, got {grade}")
-    if grade > 80:
-        return PerformanceCategory.GP
-    if grade < 50:
-        return PerformanceCategory.PP
-    return PerformanceCategory.SP
+    return categorize_all([grade])[0]
 
 
 def categorize_all(grades) -> np.ndarray:
-    return np.array([categorize(g) for g in grades], dtype=object)
+    return _CATEGORIES[_category_codes(grades)]
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,23 @@ class SplitSpec:
             raise ConfigError("train_fraction must be in (0, 1)")
 
 
-def _strata(target: np.ndarray) -> np.ndarray:
-    """Stratification labels: categories as-is, grades via categorize."""
-    if target.dtype == object:
-        return target
-    return categorize_all(target)
+def _strata(target: np.ndarray) -> tuple[np.ndarray, list[object]]:
+    """Each row's stratum as an index into the strata in class order: the
+    performance category of a grade or of a category label, else the label.
+
+    Category labels are matched by identity, one array comparison per
+    category, so no row's label is hashed.
+    """
+    if target.dtype != object:
+        return _category_codes(target), list(CATEGORY_ORDER)
+    codes = np.full(len(target), -1, dtype=np.intp)
+    for i, category in enumerate(CATEGORY_ORDER):
+        codes[target == category] = i
+    if (codes >= 0).all():
+        return codes, list(CATEGORY_ORDER)
+    keys = class_order(target)
+    index = {key: i for i, key in enumerate(keys)}
+    return np.array([index[label] for label in target], dtype=np.intp), keys
 
 
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -92,35 +108,25 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
     n = matrix.n_rows
     rng = np.random.default_rng(spec.seed)
     total_train = int(round_half_up(spec.train_fraction * n, 0))
+    train = np.zeros(n, dtype=bool)
 
     if not spec.stratified:
-        order = rng.permutation(n)
-        train_idx = sorted(order[:total_train])
-        test_idx = sorted(order[total_train:])
-        return matrix.take(train_idx), matrix.take(test_idx)
-
-    labels = _strata(matrix.target)
-    groups: dict[object, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
-    keys = [k for k in class_order(groups) if k in groups]
-
-    quotas = {k: spec.train_fraction * len(groups[k]) for k in keys}
-    alloc = {k: int(math.floor(quotas[k])) for k in keys}
-    spare = total_train - sum(alloc.values())
-    by_remainder = sorted(keys, key=lambda k: quotas[k] - alloc[k], reverse=True)
-    for k in by_remainder:
-        if spare <= 0:
-            break
-        alloc[k] += 1
-        spare -= 1
-
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for k in keys:
-        members = np.array(groups[k])
-        order = rng.permutation(len(members))
-        shuffled = members[order]
-        train_idx.extend(shuffled[: alloc[k]].tolist())
-        test_idx.extend(shuffled[alloc[k] :].tolist())
-    return matrix.take(sorted(train_idx)), matrix.take(sorted(test_idx))
+        train[rng.permutation(n)[:total_train]] = True
+    else:
+        codes, keys = _strata(matrix.target)
+        sizes = np.bincount(codes, minlength=len(keys))
+        present = np.flatnonzero(sizes)
+        quotas = spec.train_fraction * sizes[present]
+        alloc = np.floor(quotas).astype(np.intp)
+        spare = total_train - int(alloc.sum())
+        # Largest remainder first; a stable sort keeps class order on ties.
+        alloc[np.argsort(alloc - quotas, kind="stable")[: max(spare, 0)]] += 1
+        rows = np.argsort(codes, kind="stable")
+        ends = np.cumsum(sizes)
+        for code, count in zip(present.tolist(), alloc.tolist()):
+            members = rows[ends[code] - sizes[code] : ends[code]]
+            train[members[rng.permutation(len(members))[:count]]] = True
+    return (
+        matrix.take(np.flatnonzero(train).tolist()),
+        matrix.take(np.flatnonzero(~train).tolist()),
+    )

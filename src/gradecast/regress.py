@@ -2,20 +2,25 @@
 
 The solver runs on an orthogonal (QR) factorization of the design matrix;
 the explicit normal-equations route exists only in the test suite as an
-independent oracle. A two-pass transformed fit first regresses the shifted
-target, reads the suggested power off the spread-level slope (one minus
-the slope of log |studentized residual| against log fitted), then refits
-on the power-transformed target. A slope no larger than the rounding error
-of the residuals is taken as 0, so lambda = 1 exactly and the refit is the
-identity fit. Predictions invert the transform and are clamped to the
-valid grade range.
+independent oracle. A two-pass transformed fit factors the design once: it
+regresses the shifted target, reads the suggested power off the
+spread-level slope (one minus the slope of log |studentized residual|
+against log fitted), then refits the power-transformed target on the same
+factors. A slope no larger than the rounding error of the residuals is
+taken as 0, so lambda = 1 exactly and the refit is the identity fit.
+Predictions invert the transform and are clamped to the valid grade range.
+
+Cross-validation fits come as stacks of equal-shape problems, one per fold
+of a size (``fold_predictions``): one stacked QR and one stacked solve
+give, item for item, the coefficients ``fit_least_squares`` gives, because
+numpy runs the same LAPACK and BLAS calls on each item of a stack.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,16 +85,25 @@ class GradePrediction:
     clamped: bool = False
 
 
-def _design(X: np.ndarray) -> np.ndarray:
+def _design(X) -> np.ndarray:
+    """The intercept column, then X: of one matrix (a 1-D X is one column)
+    or of each matrix in a stack."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    return np.column_stack([np.ones(X.shape[0]), X])
+    return np.concatenate([np.ones((*X.shape[:-1], 1)), X], axis=-1)
 
 
 def _column_labels(p: int, columns) -> list[str]:
     names = list(columns) if columns is not None else [f"x{i + 1}" for i in range(p)]
     return ["intercept", *names]
+
+
+def _qr(design: np.ndarray):
+    """Q, R and the rank-deficient columns of a design or of a stack of them."""
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q, r, diag <= _RANK_TOL * np.maximum(diag.max(axis=-1, keepdims=True), 1.0)
 
 
 def fit_least_squares(X, y, columns=None) -> RegressionModel:
@@ -102,13 +116,38 @@ def fit_least_squares(X, y, columns=None) -> RegressionModel:
         raise TrainingError("X and y have different row counts")
     if n <= p + 1:
         raise TrainingError(f"need n > p + 1 rows (n={n}, p={p})")
-
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    bad = diag <= _RANK_TOL * max(diag.max(), 1.0)
+    q, r, bad = _qr(design)
     if bad.any():
         labels = _column_labels(p, columns)
         raise SingularityError([labels[i] for i in np.nonzero(bad)[0]])
+    return _fit(design, q, r, y, columns)
+
+
+def _factor(X: np.ndarray, y: np.ndarray, columns):
+    """Designs, Q and R of a stack of problems, X (k, n, p) and y (k, n).
+
+    When an item cannot be fitted, ``fit_least_squares`` is called on the
+    first such item: it raises the error a loop over the items would, under
+    its own name.
+    """
+    design = _design(X)
+    k, n, p_plus_1 = design.shape
+    first = 0  # a row-count error is every item's, so the first's
+    if y.shape == (k, n) and n > p_plus_1:
+        q, r, bad = _qr(design)
+        failing = np.flatnonzero(bad.any(axis=1))
+        if not failing.size:
+            return design, q, r
+        first = failing[0]
+    fit_least_squares(X[first], y[first], columns)
+    raise AssertionError(f"fit_least_squares accepted item {first}, which the stacked QR rejects")
+
+
+def _fit(design, q, r, y, columns, f_test: bool = True) -> RegressionModel:
+    """The least-squares model of y on a design factored as q r; without
+    ``f_test``, its F statistic and p-value are None."""
+    n, p_plus_1 = design.shape
+    p = p_plus_1 - 1
     beta = np.linalg.solve(r, q.T @ y)
 
     fitted = design @ beta
@@ -127,7 +166,7 @@ def fit_least_squares(X, y, columns=None) -> RegressionModel:
 
     f_stat: float | None = None
     p_value: float | None = None
-    if p >= 1:
+    if p >= 1 and f_test:
         if sse > 0:
             f_stat = (ssr / p) / (sse / dof)
             p_value = f_survival(f_stat, p, dof)
@@ -139,16 +178,35 @@ def fit_least_squares(X, y, columns=None) -> RegressionModel:
     return RegressionModel(beta, PowerTransform(), _column_labels(p, columns)[1:], stats)
 
 
+def fold_predictions(X, y, train, test, columns=None) -> np.ndarray:
+    """Untransformed least-squares predictions of held-out rows.
+
+    Row i is ``fit_least_squares(X[train[i]], y[train[i]], columns)``
+    applied to ``X[test[i]]``, bit for bit, for index arrays ``train``
+    (k, n_train) and ``test`` (k, n_test). The k fits are one stacked QR and
+    one stacked solve. Raises what a loop over the fits would raise first.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)[train]
+    _, q, r = _factor(X[train], y, columns)
+    # b as (k, n, 1): numpy 1.x and 2.x both read it as a stack of columns.
+    beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y[..., None])
+    return (_design(X[test]) @ beta)[..., 0]
+
+
 def diagnostics(model: RegressionModel, X, y) -> Diagnostics:
     """Fitted values, residuals, hat diagonals and studentized residuals.
 
     ``y`` must be in the model's (transformed) target space.
     """
-    y = np.asarray(y, dtype=float)
     design = _design(X)
+    q, _ = np.linalg.qr(design)
+    return _diagnostics(model, design, q, np.asarray(y, dtype=float))
+
+
+def _diagnostics(model: RegressionModel, design, q, y) -> Diagnostics:
     fitted = design @ model.coefficients
     residuals = y - fitted
-    q, _ = np.linalg.qr(design)
     leverage = (q**2).sum(axis=1)
     s = model.fit_stats.residual_std
     denom = s * np.sqrt(np.clip(1.0 - leverage, 0.0, None))
@@ -195,71 +253,93 @@ def suggest_power(model: RegressionModel, diag: Diagnostics) -> float:
 
 
 def fit_transformed(X, y, offset: float = 1.0, columns=None) -> RegressionModel:
-    """Two-pass fit: identity on the shifted target, then on its suggested power."""
+    """Two-pass fit: identity on the shifted target, then on its suggested power.
+
+    Both fits, and the leverage the power is read from, share one QR of the
+    design.
+    """
     y = np.asarray(y, dtype=float)
     if offset < 0:
         raise ValueError("offset must be non-negative")
     shifted = y + offset
     if np.any(shifted <= 0):
         raise ValueError("target + offset must be positive for the power transform")
-    first = fit_least_squares(X, shifted, columns)
-    lam = suggest_power(first, diagnostics(first, X, shifted))
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    design, q, r = (a[0] for a in _factor(X[None], shifted[None], columns))
+    first = _fit(design, q, r, shifted, columns, f_test=False)
+    lam = suggest_power(first, _diagnostics(first, design, q, shifted))
     transform = PowerTransform(lam, offset)
-    refit = fit_least_squares(X, transform.apply(y), columns)
-    return RegressionModel(refit.coefficients, transform, refit.column_names, refit.fit_stats)
+    return replace(_fit(design, q, r, transform.apply(y), columns), transform=transform)
 
 
-def _linear_prediction(model: RegressionModel, row) -> float:
-    row = np.asarray(row, dtype=float)
-    if row.shape != (len(model.column_names),):
-        raise PredictionError(
-            f"row has shape {row.shape}, model expects {len(model.column_names)} values"
-        )
-    # Checked before the product, where inf x 0 would warn before the error.
-    if not np.isfinite(row).all():
-        raise PredictionError("row contains non-finite values")
-    return float(model.coefficients[0] + model.coefficients[1:] @ row)
+def _each(f, values: np.ndarray) -> np.ndarray:
+    """f of each value as a Python float; inf where f overflows.
+
+    numpy's own exp and power differ from the C library's by an ulp on some
+    inputs, and subtracting the offset can magnify that into many ulps of a
+    small grade, so the inverse keeps the C library's.
+    """
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(f(v))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=float)
 
 
-def _invert(transform: PowerTransform, value: float) -> tuple[float, bool]:
-    """Inverse transform minus offset; flags an invalid inverse domain."""
+def _invert(transform: PowerTransform, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse transform minus offset; flags (and zeroes) values outside the
+    inverse's domain."""
+    invalid = np.zeros(len(linear), dtype=bool)
     if transform.log_mode:
-        return math.exp(value) - transform.offset, False
-    lam = transform.lam
-    if lam == 1.0:
-        return value - transform.offset, False
-    if value < 0 or (value == 0 and lam < 0):
-        return 0.0, True
-    return value ** (1.0 / lam) - transform.offset, False
+        inverse = _each(math.exp, linear)
+    elif transform.lam == 1.0:
+        return linear - transform.offset, invalid
+    else:
+        invalid = (linear < 0) | ((linear == 0) & (transform.lam < 0))
+        inverse = _each((1.0 / transform.lam).__rpow__, np.where(invalid, 1.0, linear))
+    return np.where(invalid, 0.0, inverse - transform.offset), invalid
 
 
-def predict_grade(model: RegressionModel, row, target_max: float | None = None) -> GradePrediction:
-    """Inverse-transformed prediction clamped to [0, target_max].
+def predict_grades(model: RegressionModel, values, target_max: float | None = None):
+    """Inverse-transformed predictions of the rows of ``values``, clamped to
+    [0, target_max], and a flag per row that was clamped.
 
     An inverse too large for a float is clamped to ``target_max``; without
     a ``target_max`` it raises PredictionError, as does a non-finite row.
     """
-    linear = _linear_prediction(model, row)
-    try:
-        raw, clamped = _invert(model.transform, linear)
-    except OverflowError:
-        raw, clamped = math.inf, False
-    if raw < 0:
-        raw, clamped = 0.0, True
-    if target_max is not None and raw > target_max:
-        raw, clamped = float(target_max), True
-    if math.isinf(raw):
-        raise PredictionError(f"inverse transform of {linear!r} overflows")
-    return GradePrediction(raw, clamped)
+    values = np.asarray(values, dtype=float)
+    p = len(model.column_names)
+    if values.ndim != 2 or values.shape[1] != p:
+        raise PredictionError(f"rows have shape {values.shape[1:]}, model expects {p} values")
+    # Checked before the product, where inf x 0 would warn before the error.
+    if not np.isfinite(values).all():
+        raise PredictionError("row contains non-finite values")
+    b = model.coefficients
+    # One dot product per row, as (n, 1, p) @ (p, 1): a matrix-vector product
+    # would sum each row in another order.
+    linear = b[0] + (values[:, None, :] @ b[1:, None])[:, 0, 0]
+    raw, clamped = _invert(model.transform, linear)
+    negative = raw < 0
+    raw[negative] = 0.0
+    clamped |= negative
+    if target_max is not None:
+        over = raw > target_max
+        raw[over] = target_max
+        clamped |= over
+    overflow = np.flatnonzero(np.isinf(raw))
+    if overflow.size:
+        raise PredictionError(f"inverse transform of {float(linear[overflow[0]])!r} overflows")
+    return raw, clamped
 
 
-def predict_grades(model: RegressionModel, values, target_max: float | None = None):
-    """Vector version of predict_grade over the rows of ``values``."""
-    predictions = [predict_grade(model, row, target_max) for row in np.asarray(values, dtype=float)]
-    return (
-        np.array([p.value for p in predictions]),
-        np.array([p.clamped for p in predictions]),
-    )
+def predict_grade(model: RegressionModel, row, target_max: float | None = None) -> GradePrediction:
+    """``predict_grades`` of one row."""
+    values, clamped = predict_grades(model, np.asarray(row, dtype=float)[None], target_max)
+    return GradePrediction(float(values[0]), bool(clamped[0]))
 
 
 def model_to_json(model: RegressionModel) -> str:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from gradecast.errors import ConfigError, TrainingError
+from gradecast.errors import ConfigError, GradecastError, SingularityError, TrainingError
 from gradecast.evaluation import (
     ClassMetrics,
     RegressionReport,
@@ -15,6 +15,7 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.labeling import PerformanceCategory
+from gradecast.regress import fit_least_squares
 from gradecast.tree import predict_many, to_json, train_tree, train_trees
 
 PP, SP, GP = PerformanceCategory.PP, PerformanceCategory.SP, PerformanceCategory.GP
@@ -232,3 +233,127 @@ def test_cross_validate_requires_target():
     m = FeatureMatrix(["a", "b", "c"], ["x"], np.zeros((3, 1)))
     with pytest.raises(ConfigError):
         cross_validate(m, "regression", k=2)
+
+
+# ------------------------------------------- stacked regression CV exactness
+
+def reference_pearson(x, y):
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    syy = float(yc @ yc)
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    return float(xc @ yc) / np.sqrt(sxx * syy)
+
+
+def reference_error_stats(actual, predicted):
+    diff = predicted - actual
+    n = len(diff)
+    return RegressionReport(
+        float(diff.mean()),
+        float(diff.std(ddof=1)) if n >= 2 else None,
+        reference_pearson(actual, predicted) if n >= 2 else None,
+        float(np.abs(diff).mean()),
+        float(np.sqrt((diff**2).mean())),
+    )
+
+
+def reference_regression_cv(matrix, k, seed):
+    """cross_validate(matrix, "regression", k, seed) as a loop calling
+    fit_least_squares on one fold at a time (frozen from the unstacked code)."""
+    per_fold = []
+    for fold in fold_indices(matrix.n_rows, k, seed):
+        train = np.ones(matrix.n_rows, dtype=bool)
+        train[fold] = False
+        train_idx = np.flatnonzero(train)
+        model = fit_least_squares(
+            matrix.values[train_idx],
+            matrix.target[train_idx].astype(float),
+            matrix.column_names,
+        )
+        design = np.column_stack([np.ones(len(fold)), matrix.values[fold]])
+        predicted = design @ model.coefficients
+        per_fold.append(reference_error_stats(matrix.target[fold].astype(float), predicted))
+    return RegressionReport(
+        *(mean_of_defined([getattr(f, name) for f in per_fold]) for name in
+          ("mean_error", "std_error", "correlation", "mae", "rmse"))
+    )
+
+
+def outcome(call):
+    """The result of ``call``, or the type and message of the error it raised."""
+    try:
+        return call()
+    except GradecastError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_stacked_regression_cv_equals_the_per_fold_loop(data):
+    # Exact equality: a numpy or LAPACK build whose stacked QR, solve or
+    # reductions differ from the unstacked calls must fail here.
+    n = data.draw(st.integers(3, 400), label="n")
+    p = data.draw(st.integers(1, 12), label="p")
+    k = data.draw(st.integers(2, n), label="k")
+    levels = data.draw(st.sampled_from([None, None, 2, 5, 40]), label="tie levels")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    else:
+        x = rng.integers(0, levels, size=(n, p)).astype(float)
+    # The last column is nonzero on a few rows only: a training fold that
+    # lacks all of them is singular.
+    sparse = data.draw(st.sampled_from([None, 1, 2]), label="rows where the last column is nonzero")
+    if sparse is not None:
+        x[rng.permutation(n)[sparse:], -1] = 0.0
+    y = np.round(x @ rng.normal(size=p) + rng.normal(scale=3.0, size=n), int(rng.integers(0, 3)))
+    m = FeatureMatrix([f"s{i}" for i in range(n)], [f"c{j}" for j in range(p)], x, y, "grade")
+    expected = outcome(lambda: reference_regression_cv(m, k, seed))
+    event(expected[0].__name__ if isinstance(expected, tuple) else "fitted")
+    assert outcome(lambda: cross_validate(m, "regression", k=k, seed=seed)) == expected
+
+
+def test_regression_cv_with_one_row_per_fold_leaves_spread_undefined():
+    m = numeric_matrix()
+    report = cross_validate(m, "regression", k=m.n_rows, seed=4)
+    assert report == reference_regression_cv(m, m.n_rows, 4)
+    assert report.std_error is None
+    assert report.correlation is None
+    assert isinstance(report.mae, float)
+
+
+def test_regression_cv_raises_the_first_failing_folds_error():
+    # 23 rows in 5 folds: sizes 5, 5, 5, 4, 4, so folds 0-2 and 3-4 are two
+    # stacks. Column "a" is zero outside fold 3 and "b" outside fold 1, so
+    # both folds' training designs are singular; fold 1 fails first.
+    n, k, seed = 23, 5, 11
+    folds = fold_indices(n, k, seed)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(n, 3))
+    x[np.setdiff1d(np.arange(n), folds[3]), 0] = 0.0
+    x[np.setdiff1d(np.arange(n), folds[1]), 1] = 0.0
+    m = FeatureMatrix([f"s{i}" for i in range(n)], ["a", "b", "c"], x, rng.normal(size=n), "g")
+    with pytest.raises(SingularityError) as err:
+        cross_validate(m, "regression", k=k, seed=seed)
+    assert err.value.columns == ["b"]
+    assert outcome(lambda: reference_regression_cv(m, k, seed)) == (SingularityError, str(err.value))
+    # Only the second stack fails: its first fold is named.
+    x[:, 1] = rng.normal(size=n)
+    m = FeatureMatrix(m.student_ids, m.column_names, x, m.target, "g")
+    with pytest.raises(SingularityError) as err:
+        cross_validate(m, "regression", k=k, seed=seed)
+    assert err.value.columns == ["a"]
+
+
+def test_regression_cv_with_too_few_training_rows_raises_training_error():
+    rng = np.random.default_rng(1)
+    m = FeatureMatrix(
+        [f"s{i}" for i in range(6)], ["a", "b", "c", "d"], rng.normal(size=(6, 4)),
+        rng.normal(size=6), "g",
+    )
+    expected = outcome(lambda: reference_regression_cv(m, 3, 0))
+    assert expected[0] is TrainingError
+    assert outcome(lambda: cross_validate(m, "regression", k=3, seed=0)) == expected

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradecast.errors import ConfigError
 from gradecast.features import FeatureMatrix
@@ -9,6 +11,8 @@ from gradecast.labeling import (
     SplitSpec,
     categorize,
     categorize_all,
+    class_order,
+    round_half_up,
     split,
 )
 
@@ -30,6 +34,15 @@ def test_categorize_boundaries_inclusive_to_sp():
 def test_categorize_rejects_negative():
     with pytest.raises(ValueError):
         categorize(-1)
+
+
+def test_categorize_rejects_nan():
+    with pytest.raises(ValueError, match="nan"):
+        categorize(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        categorize_all([70.0, math.nan])
+    with pytest.raises(ValueError):
+        categorize_all(np.array([55.0, -0.5]))
 
 
 @given(st.floats(min_value=0, max_value=500, allow_nan=False))
@@ -134,3 +147,64 @@ def test_split_rounds_half_train_rows_up(stratified):
     assert train.n_rows == 3
     assert test.n_rows == 2
     assert sorted(train.student_ids + test.student_ids) == sorted(m.student_ids)
+
+
+# ------------------------------------------------ split frozen reference
+
+def reference_split(matrix, spec):
+    """split() as it was with per-row Python: a dict of per-row lists keyed
+    by label, frozen as the reference the array version must match."""
+    n = matrix.n_rows
+    rng = np.random.default_rng(spec.seed)
+    total_train = int(round_half_up(spec.train_fraction * n, 0))
+    if not spec.stratified:
+        order = rng.permutation(n)
+        return sorted(order[:total_train].tolist()), sorted(order[total_train:].tolist())
+    target = matrix.target
+    labels = target if target.dtype == object else [GP if g > 80 else PP if g < 50 else SP for g in target]
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    keys = [k for k in class_order(groups) if k in groups]
+    quotas = {k: spec.train_fraction * len(groups[k]) for k in keys}
+    alloc = {k: int(math.floor(quotas[k])) for k in keys}
+    spare = total_train - sum(alloc.values())
+    for k in sorted(keys, key=lambda k: quotas[k] - alloc[k], reverse=True):
+        if spare <= 0:
+            break
+        alloc[k] += 1
+        spare -= 1
+    train_idx, test_idx = [], []
+    for k in keys:
+        members = np.array(groups[k])
+        shuffled = members[rng.permutation(len(members))]
+        train_idx.extend(shuffled[: alloc[k]].tolist())
+        test_idx.extend(shuffled[alloc[k] :].tolist())
+    return sorted(train_idx), sorted(test_idx)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["category", "grade", "string"]),
+    st.lists(st.sampled_from([0.0, 12.5, 49.99, 50.0, 65.0, 80.0, 80.01, 110.0]), min_size=1, max_size=150),
+    st.sampled_from([0.8, 0.5, 0.1, 0.37, 0.999, 2 / 3]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_split_equals_the_per_row_reference(kind, grades, fraction, seed, stratified):
+    if kind == "grade":
+        target = np.array(grades)
+    elif kind == "category":
+        target = np.array([categorize(g) for g in grades], dtype=object)
+    else:
+        target = np.array([f"label{int(g) % 7}" for g in grades], dtype=object)
+    n = len(grades)
+    m = FeatureMatrix(
+        [f"s{i}" for i in range(n)], ["x"], np.arange(n, dtype=float).reshape(-1, 1), target, kind
+    )
+    spec = SplitSpec(fraction, seed=seed, stratified=stratified)
+    train, test = split(m, spec)
+    train_idx, test_idx = reference_split(m, spec)
+    assert train.student_ids == [m.student_ids[i] for i in train_idx]
+    assert test.student_ids == [m.student_ids[i] for i in test_idx]
+    assert train.target.tolist() == target[train_idx].tolist()

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from gradecast.errors import PredictionError, SingularityError, TrainingError
 from gradecast.regress import (
     Diagnostics,
+    FitStats,
     PowerTransform,
+    RegressionModel,
     diagnostics,
     fit_least_squares,
     fit_transformed,
@@ -369,3 +372,125 @@ def test_non_finite_row_is_rejected(bad):
         predict_grade(model, [bad], target_max=110.0)
     with pytest.raises(PredictionError):
         predict_grades(model, np.array([[1.0], [bad]]), 110.0)
+
+
+# ------------------------------------------- predict_grades against scalars
+
+def reference_predict_grade(model, row, target_max=None):
+    """predict_grade as it was, one row in scalar Python (frozen): the grade
+    and its clamp flag."""
+    row = np.asarray(row, dtype=float)
+    if row.shape != (len(model.column_names),) or not np.isfinite(row).all():
+        raise PredictionError("bad row")
+    linear = float(model.coefficients[0] + model.coefficients[1:] @ row)
+    t = model.transform
+    try:
+        if t.log_mode:
+            raw, clamped = math.exp(linear) - t.offset, False
+        elif t.lam == 1.0:
+            raw, clamped = linear - t.offset, False
+        elif linear < 0 or (linear == 0 and t.lam < 0):
+            raw, clamped = 0.0, True
+        else:
+            raw, clamped = linear ** (1.0 / t.lam) - t.offset, False
+    except OverflowError:
+        raw, clamped = math.inf, False
+    if raw < 0:
+        raw, clamped = 0.0, True
+    if target_max is not None and raw > target_max:
+        raw, clamped = float(target_max), True
+    if math.isinf(raw):
+        raise PredictionError("overflow")
+    return raw, clamped
+
+
+def ulps(a, b):
+    """Distance in units in the last place between non-negative doubles."""
+    a = np.asarray(a, dtype=float) + 0.0  # -0.0 -> 0.0
+    b = np.asarray(b, dtype=float) + 0.0
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def linear_model(coefficients, lam, offset):
+    p = len(coefficients) - 1
+    return RegressionModel(
+        np.array(coefficients, dtype=float),
+        PowerTransform(lam, offset),
+        [f"x{i}" for i in range(p)],
+        FitStats(1.0, 0.0, None, None, 10, p),
+    )
+
+
+# Identity, power, negative powers and both log-mode cases (|lambda| < 0.01).
+LAMBDAS = [1.0, 0.5, 1.3, 2.0, 0.02, -0.5, -1.7, 0.0, 0.004, -0.009]
+
+
+def assert_matches_scalar_reference(model, values, target_max):
+    """Within 4 ulp of the scalar reference per row, with equal clamp flags,
+    or PredictionError where the reference raises on some row."""
+    try:
+        expected = [reference_predict_grade(model, row, target_max) for row in values]
+    except PredictionError:
+        with pytest.raises(PredictionError):
+            predict_grades(model, values, target_max)
+        return
+    got, clamped = predict_grades(model, values, target_max)
+    assert got.shape == clamped.shape == (len(expected),)
+    assert clamped.tolist() == [c for _, c in expected]
+    assert np.all(ulps(got, [v for v, _ in expected]) <= 4)
+    for row, value, flag in zip(values, got, clamped):
+        single = predict_grade(model, row, target_max)
+        assert (single.value, single.clamped) == (value, flag)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lam=st.sampled_from(LAMBDAS),
+    offset=st.sampled_from([0.0, 1.0, 2.5]),
+    intercept=st.sampled_from([0.0, -3.0, 0.5, 2.0, 40.0, 800.0, 1e200, 5e-324]),
+    slopes=st.lists(st.floats(-50, 50), max_size=4),
+    data=st.data(),
+    target_max=st.sampled_from([None, 110.0]),
+)
+def test_predict_grades_matches_the_scalar_reference(lam, offset, intercept, slopes, data, target_max):
+    model = linear_model([intercept, *slopes], lam, offset)
+    cell = st.one_of(st.just(0.0), st.floats(-5, 5))
+    rows = data.draw(st.lists(st.lists(cell, min_size=len(slopes), max_size=len(slopes)), max_size=20))
+    values = np.array(rows, dtype=float).reshape(len(rows), len(slopes))
+    assert_matches_scalar_reference(model, values, target_max)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("target_max", [None, 110.0])
+def test_predict_grades_on_zero_negative_and_overflowing_linear_values(lam, target_max):
+    rows = np.array([[0.0], [-2.0], [-1e-300], [1e-300], [3.0], [90.0], [1000.0], [1e200]])
+    for offset in (0.0, 1.0):
+        model = linear_model([0.0, 1.0], lam, offset)
+        for row in rows:
+            assert_matches_scalar_reference(model, row[None], target_max)
+        assert_matches_scalar_reference(model, rows[:6], target_max)
+    # Linear values whose inverse is about 1, so grades near 0 with offset 1:
+    # the offset nearly cancels the inverse, and one ulp of the inverse is
+    # thousands of ulps of the grade.
+    rng = np.random.default_rng(0)
+    linear = np.concatenate([rng.uniform(0.0, 0.01, 150), rng.uniform(0.99, 1.01, 150)])
+    assert_matches_scalar_reference(linear_model([0.0, 1.0], lam, 1.0), linear[:, None], target_max)
+
+
+def test_predict_grades_overflow_without_target_max_raises():
+    model = linear_model([1000.0, 0.0], 0.0, 1.0)
+    with pytest.raises(PredictionError, match="1000.0"):
+        predict_grades(model, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 1, 1), (0,)])
+def test_predict_grades_rejects_a_wrong_shape(shape):
+    model = linear_model([1.0, 2.0], 1.0, 0.0)
+    with pytest.raises(PredictionError):
+        predict_grades(model, np.ones(shape))
+
+
+def test_predict_grades_of_no_rows_is_empty():
+    values, clamped = predict_grades(linear_model([1.0, 2.0], 0.5, 1.0), np.zeros((0, 1)))
+    assert values.shape == clamped.shape == (0,)
+    assert clamped.dtype == bool
