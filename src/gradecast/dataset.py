@@ -26,15 +26,21 @@ Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
 
 A Dataset keeps the retained submissions as columns sorted by (task,
-student, time): task ``t``'s rows are ``_task_rows[t]:_task_rows[t + 1]``;
-``_student`` indexes ``student_ids``; ``_time_us`` is int64 microseconds
-since the epoch, exact for any datetime, sub-second ones included;
-``_passed`` counts ``P`` outcomes; ``_outcomes`` is one flat uint8 buffer of
-outcome characters, task ``t``'s rows a (rows, testcase_count) block at
-``_task_bytes[t]``. File rows and records go through one validator, which
-raises the error of the earliest bad row. The exam grades are arrays too:
-``midterm`` and ``final`` hold the retained students' grades in
-``student_ids`` order.
+student, time): ``time_us`` is int64 microseconds since the epoch, exact for
+any datetime, sub-second ones included; ``passed`` counts ``P`` outcomes;
+``outcomes`` is one flat uint8 buffer of outcome characters, a task's rows
+one (rows, testcase_count) block of it. File rows and records go through one
+validator, which raises the error of the earliest bad row. The exam grades
+are arrays too: ``midterm`` and ``final`` hold the retained students'
+grades in ``student_ids`` order.
+
+The rows of one (task, student) pair are a run. Right after the sort, a few
+O(rows) segment reductions (``reduceat``) index every run: its student, its
+first row, its length and its best row. The best row has the most passes,
+ties to the latest, which in time order is the last row with the run's
+maximum; this is the one definition of a best submission, read by
+``best_submission`` and by the feature families. Each task's rows and runs
+are kept as one ``TaskRows`` of views, built once.
 """
 
 from __future__ import annotations
@@ -135,13 +141,34 @@ class LoadReport:
 
 
 class TaskRows(NamedTuple):
-    """One task's rows, by student then time: views into a Dataset's columns."""
+    """One task's rows, by student then time, and its runs, one per student
+    with rows, by student code: views into a Dataset's columns."""
 
-    student: np.ndarray
     time_us: np.ndarray
     passed: np.ndarray
     outcomes: np.ndarray  # uint8 characters, (rows, testcase_count)
     deadline_us: int
+    run_student: np.ndarray  # each run's student code
+    run_first: np.ndarray  # each run's first row
+    run_count: np.ndarray  # each run's number of rows
+    run_best: np.ndarray  # each run's best row: most passes, then latest
+
+    def of_student(self, code: int) -> "TaskRows":
+        """The rows of the student with this code, as code 0: one run, or none."""
+        k = int(np.searchsorted(self.run_student, code))
+        m = int(k < len(self.run_student) and self.run_student[k] == code)
+        lo = int(self.run_first[k]) if m else 0
+        hi = lo + (int(self.run_count[k]) if m else 0)
+        return TaskRows(
+            self.time_us[lo:hi],
+            self.passed[lo:hi],
+            self.outcomes[lo:hi],
+            self.deadline_us,
+            np.zeros(m, dtype=np.int64),
+            np.zeros(m, dtype=np.int64),
+            self.run_count[k : k + m],
+            self.run_best[k : k + m] - lo,
+        )
 
 
 class _Rows(NamedTuple):
@@ -263,13 +290,50 @@ class Dataset:
             raise rows.error(i, k < 2, message)  # the first two are referential
 
         keep = order[student[order] >= 0]
-        self._student, self._time_us, self._passed = student[keep], rows.time_us[keep], passed[keep]
         text = "".join(map(rows.outcomes.__getitem__, keep.tolist()))
-        self._outcomes = np.frombuffer(text.encode("ascii"), np.uint8)
-        self._task_rows = np.searchsorted(task[keep], np.arange(len(self.tasks) + 1))
-        self._task_bytes = np.cumsum([0, *(np.diff(self._task_rows) * widths[:-1])])
+        outcomes = np.frombuffer(text.encode("ascii"), np.uint8)
+        self._rows = self._task_views(
+            task[keep], student[keep], rows.time_us[keep], passed[keep], outcomes
+        )
         self.report.submissions_read = n
         self.report.submissions_dropped = n - len(keep)
+
+    def _task_views(self, task, student, time_us, passed, outcomes) -> list[TaskRows]:
+        """Each task's ``TaskRows`` over the sorted rows' columns, given with
+        the rows' task and student codes; the runs are found in a few O(rows)
+        segment reductions, without a sort."""
+        n = len(task)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (task[1:] != task[:-1]) | (student[1:] != student[:-1])
+        first = np.flatnonzero(new)
+        count = np.diff(first, append=n)
+        # The last row that reaches its run's most passes.
+        most = np.maximum.reduceat(passed, first)
+        at_most = passed == np.repeat(most, count)
+        best = np.maximum.reduceat(np.where(at_most, np.arange(n), 0), first)
+        codes = np.arange(len(self.tasks) + 1)
+        task_rows, task_runs = np.searchsorted(task, codes), np.searchsorted(task[first], codes)
+        start = task_rows[task[first]]  # rows are numbered within their task
+        run_student, first, best = student[first], first - start, best - start
+        views, byte = [], 0
+        for t, spec in enumerate(self.tasks):
+            rows = slice(task_rows[t], task_rows[t + 1])
+            runs = slice(task_runs[t], task_runs[t + 1])
+            size = (rows.stop - rows.start) * spec.testcase_count
+            views.append(
+                TaskRows(
+                    time_us[rows],
+                    passed[rows],
+                    outcomes[byte : byte + size].reshape(-1, spec.testcase_count),
+                    _epoch_us(spec.deadline),
+                    run_student[runs],
+                    first[runs],
+                    count[runs],
+                    best[runs],
+                )
+            )
+            byte += size
+        return views
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[self._task_code(task_id)]
@@ -285,27 +349,20 @@ class Dataset:
 
     def task_rows(self, task_id: str, student_id: str | None = None) -> TaskRows:
         """The task's rows; or one student's (none if not retained), as code 0."""
-        t = self._task_code(task_id)
-        first, lo, hi = self._task_rows[t], self._task_rows[t], self._task_rows[t + 1]
-        if student_id is not None:
-            code = self._codes.get(student_id, -1)
-            lo, hi = lo + np.searchsorted(self._student[lo:hi], [code, code + 1])
-        width = self.tasks[t].testcase_count
-        start = self._task_bytes[t] + (lo - first) * width
-        return TaskRows(
-            self._student[lo:hi] if student_id is None else np.zeros(hi - lo, dtype=np.int64),
-            self._time_us[lo:hi],
-            self._passed[lo:hi],
-            self._outcomes[start : start + (hi - lo) * width].reshape(-1, width),
-            _epoch_us(self.tasks[t].deadline),
-        )
+        rows = self._rows[self._task_code(task_id)]
+        return rows if student_id is None else rows.of_student(self._codes.get(student_id, -1))
 
     def submissions(self, student_id: str, task_id: str) -> list[SubmissionRecord]:
         """The student's submissions to the task, oldest first."""
         rows = self.task_rows(task_id, student_id)
-        times = [_EPOCH + us * _MICROSECOND for us in rows.time_us.tolist()]
-        outcomes = [tuple(map(Outcome, chars.tobytes().decode())) for chars in rows.outcomes]
-        return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, outcomes)]
+        return _records(student_id, task_id, rows.time_us, rows.outcomes)
+
+
+def _records(student_id: str, task_id: str, time_us, outcomes) -> list[SubmissionRecord]:
+    """Submission records of rows given by their times and outcome characters."""
+    times = [_EPOCH + us * _MICROSECOND for us in time_us.tolist()]
+    results = [tuple(map(Outcome, chars.tobytes().decode())) for chars in outcomes]
+    return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, results)]
 
 
 def tasks_before(dataset: Dataset, cutoff: datetime) -> list[TaskSpec]:
@@ -319,10 +376,10 @@ def best_submission(
     dataset: Dataset, student_id: str, task_id: str
 ) -> SubmissionRecord | None:
     """The submission passing the most testcases; ties go to the latest one."""
-    subs = dataset.submissions(student_id, task_id)
-    if not subs:
-        return None
-    return max(subs, key=lambda s: (s.passed_count, s.submitted_at))
+    rows = dataset.task_rows(task_id, student_id)
+    best = rows.run_best  # the student's one run, if any
+    records = _records(student_id, task_id, rows.time_us[best], rows.outcomes[best])
+    return records[0] if records else None
 
 
 def parse_timestamp(raw: str) -> datetime:

@@ -11,17 +11,21 @@ Four families are supported:
 A student who never submitted to a task contributes 0 / all-zeros for every
 family, mirroring the 0-hour rule for late or absent qualifying submissions.
 
-Each family is a set of segment reductions over one task's rows, which run
-by student, then time. The float expressions are the per-submission ones:
-passing rate ``passed / width``, the STI test ``passed / width >= threshold``
-and STI ``diff_us / 1e6 / 3600.0``, which equals ``timedelta.total_seconds()
-/ 3600.0`` because a microsecond difference is exact in a float64.
+Each family reads one task's rows through the Dataset's run index (a run is
+one student's rows, oldest first), and none of them sorts: ``passing_rate``
+and ``testcase_outcomes`` gather each run's best row, ``submission_count``
+is each run's length, and ``sti`` is one minimum per run (``reduceat``) over
+the times of qualifying rows, the deadline standing in for the rest. The
+float expressions are the per-submission ones: passing rate ``passed /
+width``, the STI test ``passed / width >= threshold`` and STI ``diff_us /
+1e6 / 3600.0``, which equals ``timedelta.total_seconds() / 3600.0`` because
+a microsecond difference is exact in a float64.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,28 +73,31 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("feature matrix contains non-finite entries")
         if self.target is not None:
-            self.target = np.asarray(self.target)
-            if len(self.target) != n:
-                raise ConfigError("target length does not match row count")
+            self.target = _checked_target(self.target, n)
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
 
+    def _derived(self, **fields) -> "FeatureMatrix":
+        """This matrix with ``fields`` replaced by values that keep it valid,
+        so the constructor's checks are not run again."""
+        matrix = object.__new__(type(self))
+        matrix.__dict__.update(self.__dict__, **fields)
+        return matrix
+
     def take(self, indices) -> "FeatureMatrix":
         """Row subset preserving order of ``indices``."""
-        idx = list(indices)
-        target = self.target[idx] if self.target is not None else None
-        return FeatureMatrix(
-            [self.student_ids[i] for i in idx],
-            list(self.column_names),
-            self.values[idx],
-            target,
-            self.target_name,
+        idx = np.asarray(indices, dtype=np.intp)
+        return self._derived(
+            student_ids=list(map(self.student_ids.__getitem__, idx.tolist())),
+            column_names=list(self.column_names),
+            values=self.values[idx],
+            target=None if self.target is None else self.target[idx],
         )
 
     def with_target(self, target, target_name: str) -> "FeatureMatrix":
-        return replace(self, target=np.asarray(target), target_name=target_name)
+        return self._derived(target=_checked_target(target, self.n_rows), target_name=target_name)
 
     def to_csv(self, path) -> None:
         path = Path(path)
@@ -107,25 +114,31 @@ class FeatureMatrix:
                 writer.writerow(row)
 
 
+def _checked_target(target, n: int) -> np.ndarray:
+    target = np.asarray(target)
+    if len(target) != n:
+        raise ConfigError("target length does not match row count")
+    return target
+
+
 def _block(family: str, rows: TaskRows, n: int, threshold: float) -> np.ndarray:
     """The family's columns for one task, a row per student code; 0 where a
     student has no submission."""
     width = rows.outcomes.shape[1]
     block = np.zeros((n, width if family == TESTCASE_OUTCOMES else 1))
+    students = rows.run_student
     if family == SUBMISSION_COUNT:
-        block[:, 0] = np.bincount(rows.student, minlength=n)
+        block[students, 0] = rows.run_count
     elif family == STI:
+        # Each run's earliest qualifying time; the deadline (0 hours) if none.
         on_time = (rows.time_us <= rows.deadline_us) & (rows.passed / width >= threshold)
-        students, times = rows.student[on_time], rows.time_us[on_time]
-        first = np.flatnonzero(np.diff(students, prepend=-1))  # each student's earliest
-        block[students[first], 0] = (rows.deadline_us - times[first]) / 1e6 / 3600.0
-    else:  # the best submission, most passes then latest, ends its student's run
-        order = np.lexsort((rows.time_us, rows.passed, rows.student))
-        best = order[np.flatnonzero(np.diff(rows.student[order], append=-1))]
-        if family == PASSING_RATE:
-            block[rows.student[best], 0] = rows.passed[best] / width
-        else:
-            block[rows.student[best]] = rows.outcomes[best] == ord("P")
+        times = np.where(on_time, rows.time_us, rows.deadline_us)
+        earliest = np.minimum.reduceat(times, rows.run_first)
+        block[students, 0] = (rows.deadline_us - earliest) / 1e6 / 3600.0
+    elif family == PASSING_RATE:
+        block[students, 0] = rows.passed[rows.run_best] / width
+    else:
+        block[students] = rows.outcomes[rows.run_best] == ord("P")
     return block
 
 

@@ -256,7 +256,8 @@ def fit_transformed(X, y, offset: float = 1.0, columns=None) -> RegressionModel:
     """Two-pass fit: identity on the shifted target, then on its suggested power.
 
     Both fits, and the leverage the power is read from, share one QR of the
-    design.
+    design. A power under which the target's sum of squares overflows
+    raises TrainingError before the refit.
     """
     y = np.asarray(y, dtype=float)
     if offset < 0:
@@ -271,7 +272,14 @@ def fit_transformed(X, y, offset: float = 1.0, columns=None) -> RegressionModel:
     first = _fit(design, q, r, shifted, columns, f_test=False)
     lam = suggest_power(first, _diagnostics(first, design, q, shifted))
     transform = PowerTransform(lam, offset)
-    return replace(_fit(design, q, r, transform.apply(y), columns), transform=transform)
+    # The refit's sums of squares (residual, centred) are at most 4 times
+    # the target's, so they are finite when this bound is.
+    with np.errstate(over="ignore"):
+        target = transform.apply(y)
+        overflows = not np.isfinite(4.0 * (target @ target))
+    if overflows:
+        raise TrainingError(f"the target under the power lambda={lam!r} overflows a float")
+    return replace(_fit(design, q, r, target, columns), transform=transform)
 
 
 def _each(f, values: np.ndarray) -> np.ndarray:

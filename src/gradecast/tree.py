@@ -30,7 +30,9 @@ no recursion, so tree depth is not bounded by the recursion limit.
 Optional pruning is pessimistic subtree replacement: a subtree collapses
 to a leaf when the leaf's estimated error count (an upper confidence
 bound on the binomial error rate at the configured confidence) does not
-exceed the sum of its children's estimates.
+exceed the sum of its children's estimates. Every node's estimate as a leaf
+is computed in one numpy expression per tree, in the scalar bound's order of
+operations, so the estimates are bit-identical to the scalar ones.
 """
 
 from __future__ import annotations
@@ -294,11 +296,6 @@ def best_split(matrix: FeatureMatrix) -> SplitCandidate | None:
     return SplitCandidate(matrix.column_names[j], threshold, gain, ratio)
 
 
-def _majority(counts: np.ndarray, classes: list[object]) -> object:
-    # Ties break toward the earlier class in the model's class order.
-    return classes[int(np.argmax(counts))]
-
-
 def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
     """(start, stop) runs of nodes of one class count whose cells (rows x
     columns) and histogram (nodes x classes x occupied bins, at most the
@@ -402,38 +399,50 @@ def _error_upper_bound(errors: float, n: float, z: float) -> float:
 
 
 def _leaf_estimate(counts, z: float) -> float:
+    """A node's estimated error count as a leaf; ``_leaf_estimates`` is this
+    over many nodes at once, bit for bit."""
     n = sum(counts)
     errors = n - max(counts)
     return n * _error_upper_bound(errors, n, z)
 
 
-def _prune(root: TreeNode, classes: list[object], z: float) -> tuple[TreeNode, float]:
-    splits = []  # pre-order, so every split comes before its descendants
+def _leaf_estimates(counts: np.ndarray, z: float) -> np.ndarray:
+    """``_leaf_estimate`` of each row of a (nodes, classes) count matrix of
+    nodes that hold rows, in its operation order; numpy's sqrt, like
+    ``math.sqrt``, is correctly rounded."""
+    n = counts.sum(axis=1)
+    f = (n - counts.max(axis=1)) / n
+    z2 = z * z
+    bound = (f + z2 / (2 * n) + z * np.sqrt(f * (1 - f) / n + z2 / (4 * n * n))) / (1 + z2 / n)
+    return n * np.minimum(1.0, bound)
+
+
+def _prune(root: TreeNode, classes: list[object], z: float) -> TreeNode:
+    nodes = []  # pre-order, so every split comes before its descendants
     stack = [root]
     while stack:
         node = stack.pop()
+        nodes.append(node)
         if isinstance(node, Split):
-            splits.append(node)
             stack.extend((node.right, node.left))
-    pruned = {}  # id of an original split -> (replacement, estimated errors)
-
-    def result(node: TreeNode) -> tuple[TreeNode, float]:
+    counts = np.array([node.counts for node in nodes])
+    estimates = _leaf_estimates(counts, z).tolist()
+    majority = counts.argmax(axis=1).tolist()  # ties to the earlier class
+    # id of an original node -> (its replacement, estimated errors)
+    pruned = {id(node): (node, est) for node, est in zip(nodes, estimates)}
+    for i in reversed(range(len(nodes))):
+        node = nodes[i]
         if isinstance(node, Leaf):
-            return node, _leaf_estimate(node.counts, z)
-        return pruned[id(node)]
-
-    for node in reversed(splits):
-        left, left_est = result(node.left)
-        right, right_est = result(node.right)
+            continue
+        left, left_est = pruned[id(node.left)]
+        right, right_est = pruned[id(node.right)]
         subtree_est = left_est + right_est
-        as_leaf_est = _leaf_estimate(node.counts, z)
-        if as_leaf_est <= subtree_est + 1e-10:
-            leaf = Leaf(_majority(np.array(node.counts), classes), node.counts)
-            pruned[id(node)] = leaf, as_leaf_est
+        if estimates[i] <= subtree_est + 1e-10:
+            pruned[id(node)] = Leaf(classes[majority[i]], node.counts), estimates[i]
         else:
             split = Split(node.feature, node.threshold, left, right, node.counts)
             pruned[id(node)] = split, subtree_est
-    return result(root)
+    return pruned[id(root)][0]
 
 
 def train_trees(
@@ -461,7 +470,7 @@ def train_trees(
     roots = _grow(matrix.values, labels, row_sets, classes, column_names, config)
     if config.pruning:
         z = normal_quantile(1.0 - config.pruning_confidence)
-        roots = [_prune(root, cls, z)[0] for root, cls in zip(roots, classes)]
+        roots = [_prune(root, cls, z) for root, cls in zip(roots, classes)]
     return [
         TreeModel(cls, column_names, root, config) for cls, root in zip(classes, roots)
     ]

@@ -241,6 +241,47 @@ def test_best_submission_dominates_all_others(small_dataset):
             assert all(best.passed_count >= s.passed_count for s in others)
 
 
+def test_run_index_of_tasks_without_rows_and_of_excluded_students():
+    d = MIDTERM - timedelta(days=5)
+    tasks = [make_task(t, "a0", d, 2) for t in ("t0", "t1", "t2", "t3")]
+    subs = [
+        sub("s1", "t0", hours_before(d, 3.0), "PF"),
+        sub("s1", "t0", hours_before(d, 2.0), "FP"),  # ties on passes: the later one
+        sub("s1", "t0", hours_before(d, 1.0), "FF"),
+        sub("gone", "t1", hours_before(d, 2.0), "PP"),
+        sub("s2", "t2", hours_before(d, 2.0), "PP"),
+        sub("s2", "t2", hours_before(d, 1.0), "PF"),
+    ]
+    grades = [GradeRecord(s, 60.0, 60.0) for s in ("s1", "s2", "s3")]
+    ds = Dataset(tasks, make_timeline(), subs, [*grades, GradeRecord("gone", None, 60.0)])
+
+    def runs(rows):
+        columns = (rows.run_student, rows.run_first, rows.run_count, rows.run_best)
+        return len(rows.time_us), *(c.tolist() for c in columns), rows.outcomes.shape
+
+    none = (0, [], [], [], [], (0, 2))
+    assert runs(ds.task_rows("t0")) == (3, [0], [0], [3], [1], (3, 2))
+    assert runs(ds.task_rows("t1")) == none  # only an excluded student's row
+    assert runs(ds.task_rows("t2")) == (2, [1], [0], [2], [0], (2, 2))
+    assert runs(ds.task_rows("t3")) == none
+    # A student's rows are their one run, as student code 0.
+    assert runs(ds.task_rows("t2", "s2")) == (2, [0], [0], [2], [0], (2, 2))
+    assert ds.task_rows("t2", "s2").outcomes.tobytes() == b"PPPF"
+    for task, student in [("t0", "s2"), ("t1", "gone"), ("t3", "s1"), ("t2", "nobody")]:
+        assert runs(ds.task_rows(task, student)) == none
+        assert best_submission(ds, student, task) is None
+    assert best_submission(ds, "s1", "t0").submitted_at == hours_before(d, 2.0)
+
+    # No retained row at all: every task is empty.
+    for empty in (
+        Dataset(tasks, make_timeline(), subs[3:4], [GradeRecord("gone", None, 60.0)]),
+        Dataset(tasks, make_timeline(), [], grades),
+    ):
+        for task in tasks:
+            assert runs(empty.task_rows(task.task_id)) == none
+            assert runs(empty.task_rows(task.task_id, "s1")) == none
+
+
 def test_timeline_from_file(tmp_path):
     cfg = tmp_path / "timeline.cfg"
     cfg.write_text(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradecast.dataset import Dataset, GradeRecord, Outcome
+from gradecast.dataset import Dataset, GradeRecord, Outcome, best_submission
 from gradecast.errors import ConfigError, ReferentialError
 from gradecast.features import (
     FAMILIES,
@@ -123,6 +123,21 @@ def test_build_matrix_row_order_and_shapes(small_dataset):
     pr = build_feature_matrix(small_dataset, "passing_rate", config)
     s3_row = pr.values[pr.student_ids.index("s3")]
     assert np.all(s3_row == 0.0)
+
+
+def test_take_and_with_target_keep_labels_and_check_the_target_length():
+    m = FeatureMatrix(["a", "b", "c"], ["x", "y"], [[1, 2], [3, 4], [5, 6]], [7, 8, 9], "t")
+    part = m.take([2, 0, 2])
+    assert part.student_ids == ["c", "a", "c"]
+    assert part.column_names == ["x", "y"] and part.column_names is not m.column_names
+    assert part.values.tolist() == [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]]
+    assert part.target.tolist() == [9, 7, 9] and part.target_name == "t"
+    assert m.take([]).values.shape == (0, 2) and m.take(range(3)).student_ids == ["a", "b", "c"]
+    relabelled = m.with_target([0, 1, 2], "u")
+    assert relabelled.target.tolist() == [0, 1, 2] and relabelled.target_name == "u"
+    assert m.target.tolist() == [7, 8, 9]
+    with pytest.raises(ConfigError):
+        m.with_target([1, 2], "u")
 
 
 def test_build_matrix_rejects_bad_scope(small_dataset):
@@ -293,3 +308,18 @@ def test_feature_matrix_equals_reference_cells_exactly(course, family, threshold
     assert np.array_equal(
         np.array(cells, dtype=float).reshape(expected.values.shape), expected.values
     )
+
+
+@given(courses())
+def test_best_submission_equals_the_frozen_max(course):
+    tasks, records, grades = course
+    dataset = Dataset(tasks, make_timeline(), records, grades)
+    by_pair = {}
+    for record in records:
+        by_pair.setdefault((record.student_id, record.task_id), []).append(record)
+    for g in grades:
+        retained = g.student_id in dataset.student_ids
+        for task in tasks:
+            rows = by_pair.get((g.student_id, task.task_id), []) if retained else []
+            expected = max(rows, key=lambda s: (s.passed_count, s.submitted_at), default=None)
+            assert best_submission(dataset, g.student_id, task.task_id) == expected

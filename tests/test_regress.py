@@ -310,6 +310,18 @@ def test_negative_linear_prediction_clamps_to_zero_with_flag():
     assert pred.clamped
 
 
+def test_an_overflowing_power_raises_a_training_error_naming_lambda():
+    # A draw whose spread-level slope suggests lambda ~ 123: the transformed
+    # target is finite, but its squares are not.
+    rng = np.random.default_rng(3)
+    for _ in range(33):
+        n = rng.integers(8, 20)
+        X = rng.normal(size=(n, 1))
+        y = abs(rng.normal(size=n) * 20 + 60)
+    with pytest.raises(TrainingError, match=r"lambda=123\.\d+"):
+        fit_transformed(X, y)
+
+
 def test_predictions_respect_exam_range():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 140, size=(50, 2))

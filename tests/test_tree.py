@@ -309,6 +309,16 @@ def reference_grow(values, label_idx, classes, column_names, config):
     return top.left
 
 
+@given(st.data())
+def test_leaf_estimates_equal_the_scalar_estimate_bit_for_bit(data):
+    k = data.draw(st.integers(1, 4))
+    node = st.lists(st.integers(0, 10**6), min_size=k, max_size=k).filter(any)
+    counts = data.draw(st.lists(node, min_size=1, max_size=20))
+    z = normal_quantile(1.0 - data.draw(st.floats(0.01, 0.99)))
+    estimates = tree_module._leaf_estimates(np.array(counts), z)
+    assert estimates.tolist() == [_leaf_estimate(c, z) for c in counts]
+
+
 def reference_prune(root, classes, z):
     splits, stack = [], [root]
     while stack:
