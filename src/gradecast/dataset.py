@@ -8,19 +8,37 @@ Input files (all UTF-8 CSV with a header row; a BOM is allowed):
                 outcomes is a string over {P,F,C}, one character per testcase
 * grades:       student_id,midterm,final (empty field = exam missed)
 
-Each file is read straight into columns, one list of strings per required
-field, with no per-row Python beyond ``csv.reader`` itself. A bad row raises
-an error naming ``path:line``, the physical line the row starts on, counting
-blank lines and line breaks inside quoted fields; that line is found only
-when the error is raised, by reading the file again up to the row. A byte
-that is not UTF-8 raises a ParseError naming its physical line.
+Tasks and grades files are read by ``csv.reader`` straight into columns,
+one list of strings per required field. A submissions file has two readers:
+
+* A plain file is read as bytes, in a few numpy passes and without a Python
+  string per field. Plain means: after an optional BOM every byte is ASCII
+  and none is a quote, CR or NUL; every non-blank line has as many commas
+  as the header; no line is longer than ``csv.field_size_limit()``; and
+  every outcome byte is ``P``, ``F`` or ``C``. Blank lines are skipped and
+  the last line may lack its newline, as with ``csv.reader``. One pass finds
+  the line ends and one the commas, which bound every field. Neighbouring
+  ids are compared as byte strings, so ``student_id`` and ``task_id`` are
+  decoded once per run of equal consecutive values; the outcome bytes are
+  masked out into one buffer, and the timestamps gathered into one block.
+* Any other file, such as one with a quoted field or CRLF line ends, is
+  read by ``csv.reader``, the only reader of quoted fields.
+
+Both readers give ``Dataset`` the same columns: the ids (per row, or per
+run with each row's run), the times, the outcome bytes back to back and
+each row's outcome length. A bad row raises an error naming ``path:line``,
+the physical line the row starts on, counting blank lines and line breaks
+inside quoted fields; only that row's text is decoded for the message, and
+its line is found only when the error is raised, by reading the file again
+up to the row. A byte that is not UTF-8 raises a ParseError naming its
+physical line.
 
 Submission times are parsed as one block when every text has the plain
-``YYYY-MM-DDTHH:MM:SSZ`` form: the texts are joined into an (n, 20) byte
-array, its digits and separators are checked in a few array comparisons
-(year 0000 is refused, as ``datetime`` refuses it), and numpy parses the
-first 19 columns. A column with any other form, or a field out of range,
-is parsed text by text with ``parse_timestamp``.
+``YYYY-MM-DDTHH:MM:SSZ`` form: the texts form an (n, 20) byte array, its
+digits and separators are checked in a few array comparisons (year 0000 is
+refused, as ``datetime`` refuses it), and numpy parses the first 19
+columns. A column with any other form, or a field out of range, is parsed
+text by text with ``parse_timestamp``.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -28,11 +46,11 @@ submissions are dropped) and counted in the load report.
 A Dataset keeps the retained submissions as columns sorted by (task,
 student, time): ``time_us`` is int64 microseconds since the epoch, exact for
 any datetime, sub-second ones included; ``passed`` counts ``P`` outcomes;
-``outcomes`` is one flat uint8 buffer of outcome characters, a task's rows
-one (rows, testcase_count) block of it. File rows and records go through one
-validator, which raises the error of the earliest bad row. The exam grades
-are arrays too: ``midterm`` and ``final`` hold the retained students'
-grades in ``student_ids`` order.
+``outcomes`` holds a task's outcome characters as one (rows,
+testcase_count) uint8 block, gathered row by row from the readers' buffer.
+File rows and records go through one validator, which raises the error of
+the earliest bad row. The exam grades are arrays too: ``midterm`` and
+``final`` hold the retained students' grades in ``student_ids`` order.
 
 The rows of one (task, student) pair are a run. Right after the sort, a few
 O(rows) segment reductions (``reduceat``) index every run: its student, its
@@ -45,6 +63,7 @@ are kept as one ``TaskRows`` of views, built once.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass, field
@@ -53,9 +72,10 @@ from enum import Enum
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ParseError, ReferentialError
 
@@ -174,22 +194,38 @@ class TaskRows(NamedTuple):
 class _Rows(NamedTuple):
     """Submission rows in input order, parsed but not yet validated."""
 
-    student_ids: list[str]
+    student_ids: list[str]  # each row's, or each run's when ``runs`` is given
     task_ids: list[str]
     time_us: np.ndarray  # int64, _NO_TIME where the text did not parse
-    outcomes: list[str]
+    outcomes: np.ndarray  # the rows' outcome characters back to back, uint8
     path: object = None  # the file the rows came from; None for records
-    times: list[str] | None = None  # a file's timestamp texts
+    lengths: np.ndarray | None = None  # each row's number of outcome characters
+    runs: tuple[np.ndarray, np.ndarray] | None = None  # each row's student and task run
+    texts: Callable[[int], tuple] | None = None  # a row's four fields as text
 
     def error(self, i: int, referential: bool, message: str) -> Exception:
         """Row ``i``'s error: file rows name ``path:line``, records their ids."""
         if self.path is None:
-            text = f"submission {self.student_ids[i]}/{self.task_ids[i]}: {message}"
+            student, task = self.texts(i)[:2]
+            text = f"submission {student}/{task}: {message}"
             return ReferentialError(text) if referential else ConfigError(text)
         line_no = _row_line(self.path, i)
         if referential:
             return ReferentialError(f"{self.path}:{line_no}: {message}")
         return ParseError(self.path, line_no, message)
+
+
+def _text_rows(students, tasks, time_us, outcomes, path=None, times=None) -> _Rows:
+    """Rows given as one list of texts per field: records, or the rows of a
+    file that ``csv.reader`` read."""
+    lengths = np.fromiter(map(len, outcomes), np.int64, len(outcomes))
+    # "replace" keeps one byte per character, so each row keeps its length.
+    chars = np.frombuffer("".join(outcomes).encode("ascii", "replace"), np.uint8)
+
+    def texts(i):
+        return students[i], tasks[i], times[i] if times else None, outcomes[i]
+
+    return _Rows(students, tasks, time_us, chars, path, lengths, None, texts)
 
 
 class Dataset:
@@ -242,7 +278,7 @@ class Dataset:
         self._codes = {sid: -2 - i for i, sid in enumerate(excluded)}
         self._codes.update((sid, i) for i, sid in enumerate(self.student_ids))
         if not isinstance(submissions, _Rows):
-            submissions = _Rows(
+            submissions = _text_rows(
                 [s.student_id for s in submissions],
                 [s.task_id for s in submissions],
                 np.array([_epoch_us(s.submitted_at) for s in submissions], dtype=np.int64),
@@ -252,14 +288,16 @@ class Dataset:
 
     def _store(self, rows: _Rows) -> None:
         """Validate the rows; keep the retained students' rows as columns."""
-        n = len(rows.task_ids)
-        task = np.fromiter(map(self._task_index.get, rows.task_ids, repeat(-1)), np.int64, n)
-        student = np.fromiter(map(self._codes.get, rows.student_ids, repeat(-1)), np.int64, n)
+        n = len(rows.time_us)
+        student_run, task_run = rows.runs or (None, None)
+        task = _coded(self._task_index, rows.task_ids, task_run)
+        student = _coded(self._codes, rows.student_ids, student_run)
         widths = np.array([t.testcase_count for t in self.tasks] + [-1])  # -1: unknown task
-        lengths = np.fromiter(map(len, rows.outcomes), np.int64, n)
-        ends = np.cumsum(lengths)
-        chars = np.frombuffer("".join(rows.outcomes).encode("ascii", "replace"), np.uint8)
-        passed, failed, compiled = (_counts_at(chars == ord(c), ends) for c in "PFC")
+        lengths = rows.lengths
+        starts = np.cumsum(lengths) - lengths
+        passed, failed, compiled = (
+            _counts_at(rows.outcomes == ord(c), starts, lengths) for c in "PFC"
+        )
         # Stable: the later row of an equal (task, student, time) pair is flagged.
         order = np.lexsort((rows.time_us, student, task))
         keys = np.stack([task, student, rows.time_us])[:, order]
@@ -279,29 +317,28 @@ class Dataset:
         hits = [(int(np.argmax(bad)), k) for k, bad in enumerate(checks.values()) if bad.any()]
         if hits:
             i, k = min(hits)
+            student_text, task_text, time_text, outcome_text = rows.texts(i)
             message = list(checks)[k].format(
-                task=rows.task_ids[i],
-                student=rows.student_ids[i],
-                time=rows.times and rows.times[i],
-                bad=next((ch for ch in rows.outcomes[i] if ch not in "PFC"), None),
+                task=task_text,
+                student=student_text,
+                time=time_text,
+                bad=next((ch for ch in outcome_text if ch not in "PFC"), None),
                 length=lengths[i],
                 width=widths[task[i]],
             )
             raise rows.error(i, k < 2, message)  # the first two are referential
 
         keep = order[student[order] >= 0]
-        text = "".join(map(rows.outcomes.__getitem__, keep.tolist()))
-        outcomes = np.frombuffer(text.encode("ascii"), np.uint8)
-        self._rows = self._task_views(
-            task[keep], student[keep], rows.time_us[keep], passed[keep], outcomes
-        )
+        columns = task[keep], student[keep], rows.time_us[keep], passed[keep]
+        self._rows = self._task_views(*columns, rows.outcomes, starts[keep])
         self.report.submissions_read = n
         self.report.submissions_dropped = n - len(keep)
 
-    def _task_views(self, task, student, time_us, passed, outcomes) -> list[TaskRows]:
+    def _task_views(self, task, student, time_us, passed, chars, starts) -> list[TaskRows]:
         """Each task's ``TaskRows`` over the sorted rows' columns, given with
-        the rows' task and student codes; the runs are found in a few O(rows)
-        segment reductions, without a sort."""
+        the rows' task and student codes and where each row's outcomes start
+        in ``chars``; the runs are found in a few O(rows) segment reductions,
+        without a sort."""
         n = len(task)
         new = np.ones(n, dtype=bool)
         new[1:] = (task[1:] != task[:-1]) | (student[1:] != student[:-1])
@@ -315,16 +352,15 @@ class Dataset:
         task_rows, task_runs = np.searchsorted(task, codes), np.searchsorted(task[first], codes)
         start = task_rows[task[first]]  # rows are numbered within their task
         run_student, first, best = student[first], first - start, best - start
-        views, byte = [], 0
+        views = []
         for t, spec in enumerate(self.tasks):
             rows = slice(task_rows[t], task_rows[t + 1])
             runs = slice(task_runs[t], task_runs[t + 1])
-            size = (rows.stop - rows.start) * spec.testcase_count
             views.append(
                 TaskRows(
                     time_us[rows],
                     passed[rows],
-                    outcomes[byte : byte + size].reshape(-1, spec.testcase_count),
+                    _gather_rows(chars, starts[rows], spec.testcase_count),
                     _epoch_us(spec.deadline),
                     run_student[runs],
                     first[runs],
@@ -332,7 +368,6 @@ class Dataset:
                     best[runs],
                 )
             )
-            byte += size
         return views
 
     def task(self, task_id: str) -> TaskSpec:
@@ -412,26 +447,52 @@ def _epoch_us_column(texts: list[str]) -> np.ndarray:
     n = len(texts)
     if n and min(map(len, texts)) == max(map(len, texts)) == 20:
         # "replace" keeps one byte per character, so each text is one row.
-        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8).reshape(n, 20)
-        if (
-            (block[:, _DIGITS] - np.uint8(ord("0")) < 10).all()
-            and (block[:, _SEPARATORS] == _SEPARATOR_BYTES).all()
-            and (block[:, :4] != ord("0")).any(axis=1).all()
-        ):
-            stamps = np.ascontiguousarray(block[:, :19]).view("S19").ravel()
-            try:
-                return stamps.astype("datetime64[us]").view(np.int64)
-            except ValueError:  # a field out of range
-                pass
+        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
+        parsed = _epoch_us_block(block.reshape(n, 20))
+        if parsed is not None:
+            return parsed
     return np.array([_parsed_us(t) for t in texts], dtype=np.int64)
 
 
-def _counts_at(hits: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """How many ``hits`` fall in each of the runs that end at ``ends``."""
-    # int32 sums wrap past 2**31 hits, but their differences stay exact.
-    total = np.zeros(len(hits) + 1, dtype=np.int32)
-    np.cumsum(hits, dtype=np.int32, out=total[1:])
-    return np.diff(total[ends], prepend=0)
+def _epoch_us_block(block: np.ndarray) -> np.ndarray | None:
+    """``_parsed_us`` of each row of an (n, 20) byte block, or None unless
+    every row is a plain ``YYYY-MM-DDTHH:MM:SSZ`` stamp with its fields in
+    range."""
+    if (
+        (block[:, _DIGITS] - np.uint8(ord("0")) < 10).all()
+        and (block[:, _SEPARATORS] == _SEPARATOR_BYTES).all()
+        and (block[:, :4] != ord("0")).any(axis=1).all()
+    ):
+        stamps = np.ascontiguousarray(block[:, :19]).view("S19").ravel()
+        try:
+            return stamps.astype("datetime64[us]").view(np.int64)
+        except ValueError:  # a field out of range
+            pass
+    return None
+
+
+def _counts_at(hits: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """How many ``hits`` fall in each of the back-to-back runs that begin at
+    ``starts`` and hold ``lengths``."""
+    counts = np.zeros(len(starts), dtype=np.int64)
+    # reduceat sums up to the next index; an empty run would read one hit.
+    held = lengths > 0
+    counts[held] = np.add.reduceat(hits, starts[held], dtype=np.int64)
+    return counts
+
+
+def _coded(codes: dict[str, int], ids: list[str], run: np.ndarray | None) -> np.ndarray:
+    """Each row's code of its id, -1 if unknown; ``run`` maps the rows to
+    ``ids`` when these are the ids of runs of rows."""
+    coded = np.fromiter(map(codes.get, ids, repeat(-1)), np.int64, len(ids))
+    return coded if run is None else coded[run]
+
+
+def _gather_rows(buffer: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The (rows, width) block of the ``width`` bytes from each start."""
+    if not len(starts):
+        return np.zeros((0, width), dtype=np.uint8)
+    return sliding_window_view(buffer, width)[starts]
 
 
 def _bad_byte_line(path) -> int:
@@ -450,6 +511,15 @@ def _open_csv(path):
     return Path(path).open(newline="", encoding="utf-8-sig")
 
 
+def _column_numbers(path, header: list[str], required: list[str]) -> list[int]:
+    """Where each required column sits in the header row."""
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+    column = {name: i for i, name in enumerate(header)}
+    return [column[c] for c in required]
+
+
 def _read_rows(path, required: list[str]) -> list[list[str]]:
     """The required fields of the file's rows, one list per field. Blank
     lines are skipped; missing fields read as empty; a UTF-8 BOM is dropped."""
@@ -457,9 +527,7 @@ def _read_rows(path, required: list[str]) -> list[list[str]]:
         with _open_csv(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+            columns = _column_numbers(path, header, required)
             rows = [row for row in reader if row]
     except UnicodeDecodeError:
         raise ParseError(path, _bad_byte_line(path), "text is not UTF-8") from None
@@ -468,8 +536,7 @@ def _read_rows(path, required: list[str]) -> list[list[str]]:
     if rows and min(map(len, rows)) < len(header):
         pad = [""] * len(header)
         rows = [row + pad[len(row) :] for row in rows]
-    column = {name: i for i, name in enumerate(header)}
-    return [list(map(itemgetter(column[c]), rows)) for c in required]
+    return [list(map(itemgetter(c), rows)) for c in columns]
 
 
 def _row_line(path, i: int) -> int:
@@ -505,12 +572,96 @@ def _read_tasks(path) -> list[TaskSpec]:
     return tasks
 
 
+_SUBMISSION_FIELDS = ["student_id", "task_id", "submitted_at", "outcomes"]
+
+
 def _read_submissions(path) -> _Rows:
-    """The submissions file as raw columns, validated by ``Dataset``."""
-    fields = ["student_id", "task_id", "submitted_at", "outcomes"]
-    students, tasks, times, outcomes = _read_rows(path, fields)
+    """The submissions file as raw columns, validated by ``Dataset``: read
+    from its bytes when it is plain, else by ``csv.reader``."""
+    rows = _plain_rows(path, Path(path).read_bytes())
+    return _csv_rows(path) if rows is None else rows
+
+
+def _csv_rows(path) -> _Rows:
+    """The submissions file's rows as ``csv.reader`` reads them."""
+    students, tasks, times, outcomes = _read_rows(path, _SUBMISSION_FIELDS)
     outcomes = list(map(str.strip, outcomes))
-    return _Rows(students, tasks, _epoch_us_column(times), outcomes, path, times)
+    return _text_rows(students, tasks, _epoch_us_column(times), outcomes, path, times)
+
+
+def _plain_rows(path, raw: bytes) -> _Rows | None:
+    """The rows of a plain submissions file, read from its bytes ``raw`` in
+    a few array passes; None if the file is not plain."""
+    body = raw[len(codecs.BOM_UTF8) :] if raw.startswith(codecs.BOM_UTF8) else raw
+    data = np.frombuffer(body, np.uint8)
+    if data.max(initial=0) > 127 or any((data == byte).any() for byte in b'"\r\0'):
+        return None
+    ends = np.flatnonzero(data == ord("\n"))
+    if not body.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.append(0, ends[:-1] + 1)
+    header = body[: ends[0]].decode("ascii").split(",")
+    columns = _column_numbers(path, header, _SUBMISSION_FIELDS)
+    held = ends > starts  # blank lines are skipped; the header is not blank
+    starts, ends = starts[held], ends[held]
+    k = len(header) - 1
+    commas = np.flatnonzero(data == ord(","))
+    if (ends - starts).max() > csv.field_size_limit() or (
+        np.diff(np.searchsorted(commas, ends), prepend=0) != k
+    ).any():
+        return None
+    # Field c of a row runs from the end of its c-th separator to its next
+    # one: its line's start, its k commas, its line's end.
+    commas = commas.reshape(-1, k)[1:]
+    starts, ends = starts[1:], ends[1:]
+    (s_lo, s_hi), (t_lo, t_hi), (w_lo, w_hi), (o_lo, o_hi) = (
+        (starts if c == 0 else commas[:, c - 1] + 1, ends if c == k else commas[:, c])
+        for c in columns
+    )
+    chars = data[_inside(len(data), o_lo, o_hi)]
+    if sum(np.count_nonzero(chars == byte) for byte in b"PFC") < len(chars):
+        return None
+    time_us = _epoch_us_block(_gather_rows(data, w_lo, 20)) if (w_hi - w_lo == 20).all() else None
+    if time_us is None:
+        time_us = _epoch_us_column(_decoded(body, w_lo, w_hi))
+    student_ids, student_run = _id_runs(body, data, s_lo, s_hi)
+    task_ids, task_run = _id_runs(body, data, t_lo, t_hi)
+
+    def texts(i):
+        fields = body[starts[i] : ends[i]].decode("ascii").split(",")
+        return tuple(fields[c] for c in columns)
+
+    runs = student_run, task_run
+    return _Rows(student_ids, task_ids, time_us, chars, path, o_hi - o_lo, runs, texts)
+
+
+def _inside(size: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A mask of ``size`` bytes, true inside the ascending, disjoint spans
+    from ``lo`` up to ``hi``."""
+    spans = np.diff(np.stack((lo, hi), axis=1).ravel(), prepend=0, append=size)
+    return np.repeat(np.arange(len(spans)) % 2 == 1, spans)
+
+
+def _decoded(body: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The texts of the spans from ``lo`` up to ``hi`` of ASCII bytes."""
+    return [body[a:b].decode("ascii") for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _id_runs(body: bytes, data: np.ndarray, lo, hi) -> tuple[list[str], np.ndarray]:
+    """The id of each run of rows whose fields, the spans from ``lo`` up to
+    ``hi`` of the file's bytes, are equal; and each row's run."""
+    length = hi - lo
+    new = np.ones(len(lo), dtype=bool)
+    # Rows of one length are compared as byte strings with their neighbours
+    # of that length; a row next to one of another length starts a run.
+    for width in np.flatnonzero(np.bincount(length)).tolist():
+        at = np.flatnonzero(length == width)
+        keys = np.zeros(len(at), "S1")  # empty fields are all equal
+        if width:
+            keys = _gather_rows(data, lo[at], width).view(f"S{width}").ravel()
+        new[at[1:]] = (keys[1:] != keys[:-1]) | (np.diff(at) > 1)
+    first = np.flatnonzero(new)
+    return _decoded(body, lo[first], hi[first]), np.cumsum(new) - 1
 
 
 def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float | None:

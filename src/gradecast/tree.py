@@ -15,6 +15,9 @@ The trees grow together, one depth at a time: one ``bincount`` gives the
 bins the batch occupies, and integer cumulative sums along each node's bins
 give every candidate's left class counts. Gains and ratios use the same
 elementwise formulas as a one-node search, so every value is bit-identical.
+Only nodes that can split are searched: a child of one class, or with fewer
+than ``2 * min_leaf`` rows, becomes a leaf when its parent splits, and its
+rows leave the frontier.
 A depth is searched in batches of nodes whose cells (rows x columns) and
 histogram (nodes x occupied bins x classes) each stay within
 ``_CHUNK_CELLS``, which bounds the search's memory on wide matrices; a node
@@ -338,12 +341,10 @@ def _grow(
     frontier = [(t, top, "left") for t, top in enumerate(tops)]
     rows, labels = np.concatenate(row_sets), np.concatenate(labels)
     sizes = np.array([len(r) for r in row_sets])
+    node_of = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(node_of * k + labels, minlength=len(sizes) * k).reshape(-1, k)
     while frontier:
         n_nodes = len(frontier)
-        node_of = np.repeat(np.arange(n_nodes), sizes)
-        counts = np.bincount(node_of * k + labels, minlength=n_nodes * k).reshape(n_nodes, k)
-        # A node of one class has no split of positive gain, so only nodes
-        # too small to split are set aside after the search.
         column = np.full(n_nodes, -1)
         threshold = np.zeros(n_nodes)
         bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
@@ -356,6 +357,8 @@ def _grow(
             for i, hit in enumerate(found, lo):
                 if hit is not None:
                     column[i], threshold[i] = hit[0], hit[1]
+        # A root may be too small to split; a deeper node that cannot split
+        # became a leaf with its parent, below, and was not searched.
         column[sizes < 2 * config.min_leaf] = -1
         split = column >= 0
         if split.any():
@@ -365,24 +368,41 @@ def _grow(
             # A split that sends every row left would recur at its left
             # child forever; such a node stays a leaf.
             split &= np.bincount(node_of[go_left], minlength=n_nodes) < sizes
+            # Node i's left child is child 2i, its right one 2i + 1. A child
+            # of one class, or too small to split, has no split to find.
+            child = 2 * node_of + ~go_left
+            keep = split[node_of]
+            children = np.bincount(
+                child[keep] * k + labels[keep], minlength=2 * n_nodes * k
+            ).reshape(-1, k)
+            child_sizes = children.sum(axis=1)
+            grows = (children.max(axis=1) < child_sizes) & (child_sizes >= 2 * config.min_leaf)
+            child_counts, child_majority = children.tolist(), children.argmax(axis=1).tolist()
         next_frontier = []
-        for (t, parent, slot), node_counts, is_split, j, cut, majority in zip(
-            frontier, counts.tolist(), split.tolist(), column.tolist(),
-            threshold.tolist(), counts.argmax(axis=1).tolist(),
+        for i, ((t, parent, slot), node_counts, is_split, j, cut, majority) in enumerate(
+            zip(
+                frontier, counts.tolist(), split.tolist(), column.tolist(),
+                threshold.tolist(), counts.argmax(axis=1).tolist(),
+            )
         ):
             node_counts = node_counts[: widths[t]]
-            if is_split:
-                node = Split(column_names[j], cut, None, None, node_counts)
-                next_frontier += [(t, node, "left"), (t, node, "right")]
-            else:
-                node = Leaf(classes[t][majority], node_counts)
+            if not is_split:
+                setattr(parent, slot, Leaf(classes[t][majority], node_counts))
+                continue
+            node = Split(column_names[j], cut, None, None, node_counts)
             setattr(parent, slot, node)
+            for c, side in ((2 * i, "left"), (2 * i + 1, "right")):
+                if grows[c]:
+                    next_frontier.append((t, node, side))
+                else:
+                    leaf_counts = child_counts[c][: widths[t]]
+                    setattr(node, side, Leaf(classes[t][child_majority[c]], leaf_counts))
         if next_frontier:
-            keep = split[node_of]
-            child = (2 * node_of + ~go_left)[keep]
-            order = np.argsort(child, kind="stable")
+            keep = grows[child]
+            order = np.argsort(child[keep], kind="stable")
             rows, labels = rows[keep][order], labels[keep][order]
-            sizes = np.bincount(child, minlength=2 * n_nodes).reshape(n_nodes, 2)[split].ravel()
+            counts, sizes = children[grows], child_sizes[grows]
+            node_of = np.repeat(np.arange(len(next_frontier)), sizes)
         frontier = next_frontier
     return [top.left for top in tops]
 

@@ -1,6 +1,7 @@
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import settings
 
 from gradecast.dataset import (
     CourseTimeline,
@@ -10,6 +11,11 @@ from gradecast.dataset import (
     SubmissionRecord,
     TaskSpec,
 )
+
+
+# Longer fuzzing for CI: pytest --hypothesis-profile=ci. Properties that set
+# their own max_examples keep it.
+settings.register_profile("ci", max_examples=1000)
 
 
 def ts(text: str) -> datetime:

@@ -1,4 +1,5 @@
 import csv
+import re
 from datetime import datetime, timedelta
 from operator import itemgetter
 from pathlib import Path
@@ -14,13 +15,16 @@ from gradecast.dataset import (
     best_submission,
     tasks_before,
     timeline_from_file,
+    _counts_at,
+    _csv_rows,
     _epoch_us_column,
     _parsed_us,
+    _plain_rows,
     _read_rows,
     _row_line,
     _Rows,
 )
-from gradecast.errors import ConfigError, ParseError, ReferentialError
+from gradecast.errors import ConfigError, GradecastError, ParseError, ReferentialError
 
 from conftest import FINAL, MIDTERM, hours_before, make_task, make_timeline, sub, ts
 
@@ -644,3 +648,233 @@ def test_one_block_timestamps_equal_the_text_by_text_parse(stamps, miss, where):
 def test_one_block_timestamps_of_an_empty_column():
     assert _epoch_us_column([]).dtype == np.int64
     assert len(_epoch_us_column([])) == 0
+
+
+# ------------------------------------------------ whole input files
+
+# The course the file property draws: ids of different lengths, so that
+# runs of equal ids end at a change of length too; s333 misses the final.
+PROPERTY_TASKS = {"t1": 3, "t22": 2}
+PROPERTY_GRADES = {"s1": (95.0, 100.0), "s22": (40.0, 45.0), "s333": (1.0, None)}
+PROPERTY_DEADLINE = "2016-10-20T18:00:00Z"
+# Ways to write a submissions file that is not plain.
+FALLBACKS = [
+    "quote", "crlf", "cr", "non_ascii_id", "nul", "field_count", "long_line",
+    "outcome_space", "outcome_lower", "not_utf8",
+]
+
+
+@st.composite
+def submission_rows(draw):
+    """A row of the property's course: good three times in four, so that
+    whole files are often good; else with ids, times and outcomes that may
+    be wrong."""
+    good = draw(st.integers(0, 3)) > 0
+    students, tasks = [*PROPERTY_GRADES], [*PROPERTY_TASKS]
+    other_stamps = ["2016-10-03T10:00:00.25Z", "2016-10-03 10:00:00+02:00"]
+    if not good:
+        students += ["ghost", "", "s1 "]
+        tasks += ["t9"]
+        other_stamps += ["0000-01-01T00:00:00Z", "2016-10-03T10:00:00ZZ", "yesterday", ""]
+    student, task = draw(st.sampled_from(students)), draw(st.sampled_from(tasks))
+    width = PROPERTY_TASKS.get(task, 2)
+    plain_stamp = st.builds(
+        "2016-10-{:02d}T{:02d}:{:02d}:00Z".format,
+        st.integers(1, 31), st.integers(0, 23 if good else 24), st.integers(0, 59),
+    )
+    stamp = draw(st.one_of(plain_stamp, plain_stamp, plain_stamp, st.sampled_from(other_stamps)))
+    outcomes = st.one_of(st.text("PF", min_size=width, max_size=width), st.just("C" * width))
+    outcomes = draw(outcomes if good else st.text("PFC", max_size=4))
+    return {"student_id": student, "task_id": task, "submitted_at": stamp, "outcomes": outcomes}
+
+
+def csv_text(header, rows, end, blanks, final_end):
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    blanks = blanks + [0] * len(lines)
+    text = "".join(line + end + end * blank for line, blank in zip(lines, blanks))
+    return text if final_end else text.rstrip("\r\n")
+
+
+def physical_lines(raw: bytes) -> int:
+    return len(re.split(rb"\r\n|\r|\n", raw))
+
+
+def assert_names_a_physical_line(err: GradecastError, paths) -> None:
+    """A ParseError, or a ReferentialError naming its file, names the line of
+    what is at fault: the first byte that is not UTF-8, or the start of the
+    header or of a row."""
+    found = re.match(r"(.*):(\d+): ", str(err))
+    if isinstance(err, ParseError):
+        path, line_no = Path(err.path), err.line_no
+    elif found:
+        path, line_no = Path(found[1]), int(found[2])
+    else:
+        return
+    assert path in paths
+    raw = path.read_bytes()
+    if "text is not UTF-8" in str(err):
+        with pytest.raises(UnicodeDecodeError) as bad:
+            raw.decode("utf-8")
+        assert line_no == physical_lines(raw[: bad.value.start])
+    elif "field larger than field limit" in str(err):
+        assert 1 <= line_no <= physical_lines(raw)
+    else:
+        required = ["task_id" if path.name == "tasks.csv" else "student_id"]
+        assert line_no in [1, *frozen_read_rows(path, required)[0]]
+
+
+def dataset_fields(ds: Dataset):
+    rows = [
+        tuple((a.dtype.str, a.shape, a.tolist()) if isinstance(a, np.ndarray) else a for a in view)
+        for view in ds._rows
+    ]
+    return ds.student_ids, ds.report, ds.tasks, ds.grades, ds.midterm.tolist(), rows
+
+
+def dataset_or_error(read):
+    """The fields of the Dataset of ``read()``'s rows and the property's
+    course, or the type and message of the error raised; None if ``read``
+    gives no rows."""
+    tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
+    grades = [GradeRecord(s, *exams) for s, exams in PROPERTY_GRADES.items()]
+    try:
+        rows = read()
+        if rows is None:
+            return None
+        return dataset_fields(Dataset(tasks, make_timeline(), rows, grades))
+    except GradecastError as err:
+        return type(err), str(err)
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(submission_rows(), max_size=12),
+    header=st.permutations(["student_id", "task_id", "submitted_at", "outcomes"]),
+    extra_column=st.booleans(),
+    fallback=st.one_of(st.none(), st.sampled_from(FALLBACKS)),  # plain half the time
+    bom=st.booleans(),
+    where=st.integers(0, 100),
+    blanks=st.lists(st.integers(0, 2), max_size=14),
+    final_end=st.booleans(),
+    grades=st.lists(
+        st.sampled_from(["95", "40.5", "60", "", "nan", "inf", "-inf", "1e400", "-1", "x"]),
+        min_size=6, max_size=6,
+    ),
+    tasks_form=st.sampled_from(["plain", "bom", "crlf", "not_utf8", "bad_deadline"]),
+)
+def test_loaders_return_a_dataset_or_a_typed_error_naming_the_line(
+    tmp_path_factory, rows, header, extra_column, fallback, bom, where, blanks, final_end,
+    grades, tasks_form,
+):
+    header = header + ["note"] * extra_column
+    table = [[row.get(c, "x") for c in header] for row in rows]
+    end = {"crlf": "\r\n", "cr": "\r"}.get(fallback, "\n")
+    edits = {
+        "quote": ("task_id", '"{}"'),
+        "non_ascii_id": ("student_id", "s\xe9"),
+        "nul": ("task_id", "{}\0"),
+        "long_line": ("outcomes", "P" * (csv.field_size_limit() + where % 2)),
+        "outcome_space": ("outcomes", " {}"),
+        "outcome_lower": ("outcomes", "{}p"),
+    }
+    if table:
+        row = table[where % len(table)]
+        if fallback in edits:
+            column, form = edits[fallback]
+            row[header.index(column)] = form.format(row[header.index(column)])
+        elif fallback == "field_count":  # one field too few or too many
+            if where % 2:
+                row.append("x")
+            else:
+                row.pop()
+    text = csv_text(header, table, end, blanks, final_end)
+    raw = b"\xef\xbb\xbf" * bom + text.encode()
+    if fallback == "not_utf8" and table:
+        raw = raw[:-2] + b"\xff" + raw[-2:]
+    # Without rows, only a line end can make the file not plain.
+    plain_file = fallback is None or not (table or "\r" in text)
+
+    grade_rows = [[s, *grades[2 * i : 2 * i + 2]] for i, s in enumerate(PROPERTY_GRADES)]
+    task_rows = [
+        [t, "a0", PROPERTY_DEADLINE, ";".join(f"tc{i}" for i in range(w))]
+        for t, w in PROPERTY_TASKS.items()
+    ]
+    if tasks_form == "bad_deadline":
+        task_rows[-1][2] = "soon"
+    tasks_header = ["task_id", "assignment_id", "deadline", "testcase_ids"]
+    tasks_end = "\r\n" if tasks_form == "crlf" else "\n"
+    tasks_text = csv_text(tasks_header, task_rows, tasks_end, [], True)
+    tasks_raw = b"\xef\xbb\xbf" * (tasks_form == "bom") + tasks_text.encode()
+    if tasks_form == "not_utf8":
+        tasks_raw = tasks_raw.replace(b"a0,", b"a\xc30,", 1)
+
+    directory = tmp_path_factory.mktemp("course")
+    paths = {name: directory / f"{name}.csv" for name in ("tasks", "submissions", "grades")}
+    paths["tasks"].write_bytes(tasks_raw)
+    paths["submissions"].write_bytes(raw)
+    grades_text = csv_text(["student_id", "midterm", "final"], grade_rows, "\n", blanks, final_end)
+    paths["grades"].write_text(grades_text)
+
+    try:
+        ds = load(paths)
+    except GradecastError as err:
+        assert_names_a_physical_line(err, list(paths.values()))
+    else:
+        assert isinstance(ds, Dataset)
+
+    # The byte reader reads every plain file, and reads it as csv.reader does.
+    path = paths["submissions"]
+    plain = dataset_or_error(lambda: _plain_rows(path, raw))
+    assert (plain is not None) == plain_file
+    if plain is not None:
+        assert plain == dataset_or_error(lambda: _csv_rows(path))
+
+
+@given(st.lists(st.integers(0, 4), max_size=12), st.data())
+def test_counts_in_back_to_back_runs_equal_the_sums_of_their_slices(lengths, data):
+    size = sum(lengths)
+    hits = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    expected = [int(hits[s : s + n].sum()) for s, n in zip(starts, lengths)]
+    assert _counts_at(hits, starts, lengths).tolist() == expected
+
+
+def recording_reader(refused, calls):
+    """csv.reader, recording the name of each file it reads and raising on
+    the file named ``refused``."""
+    real = csv.reader
+
+    def reader(fh, *args, **kwargs):
+        calls.append(Path(fh.name).name)
+        if calls[-1] == refused:
+            raise AssertionError(f"csv.reader read {refused}")
+        return real(fh, *args, **kwargs)
+
+    return reader
+
+
+def test_a_plain_submissions_file_never_reaches_csv_reader(tmp_path, monkeypatch):
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "dressed").mkdir()
+    expected = dataset_fields(load(write_inputs(tmp_path / "bare")))
+    # A BOM, a blank line and no final newline keep a file plain.
+    text = SUBMISSIONS_CSV.replace("\ns2,t1,", "\n\ns2,t1,").rstrip("\n")
+    paths = write_inputs(tmp_path / "dressed", submissions=text)
+    paths["submissions"].write_bytes(b"\xef\xbb\xbf" + paths["submissions"].read_bytes())
+    calls = []
+    monkeypatch.setattr("gradecast.dataset.csv.reader", recording_reader("submissions.csv", calls))
+    assert dataset_fields(load(paths)) == expected
+    assert sorted(calls) == ["grades.csv", "tasks.csv"]
+
+
+def test_a_quoted_field_is_read_by_csv_reader(tmp_path, monkeypatch):
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "quoted").mkdir()
+    expected = dataset_fields(load(write_inputs(tmp_path / "bare")))
+    quoted = SUBMISSIONS_CSV.replace("s2,t3,", '"s2",t3,')
+    paths = write_inputs(tmp_path / "quoted", submissions=quoted)
+    calls = []
+    monkeypatch.setattr("gradecast.dataset.csv.reader", recording_reader(None, calls))
+    assert dataset_fields(load(paths)) == expected
+    assert "submissions.csv" in calls
