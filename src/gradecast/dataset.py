@@ -17,16 +17,17 @@ one list of strings per required field. A submissions file has two readers:
   as the header; no line is longer than ``csv.field_size_limit()``; and
   every outcome byte is ``P``, ``F`` or ``C``. Blank lines are skipped and
   the last line may lack its newline, as with ``csv.reader``. One pass finds
-  the line ends and one the commas, which bound every field. Neighbouring
-  ids are compared as byte strings, so ``student_id`` and ``task_id`` are
-  decoded once per run of equal consecutive values; the outcome bytes are
-  masked out into one buffer, and the timestamps gathered into one block.
+  the line ends and one the commas, which bound every field. The
+  ``student_id`` and ``task_id`` fields are gathered into byte strings and
+  sorted by ``np.unique``, so each distinct id is decoded once, in whatever
+  order the rows come; the outcome bytes are masked out into one buffer,
+  and the timestamps gathered into one block.
 * Any other file, such as one with a quoted field or CRLF line ends, is
   read by ``csv.reader``, the only reader of quoted fields.
 
-Both readers give ``Dataset`` the same columns: the ids (per row, or per
-run with each row's run), the times, the outcome bytes back to back and
-each row's outcome length. A bad row raises an error naming ``path:line``,
+Both readers give ``Dataset`` the same columns: each id column as a list
+of ids with each row's place in it, the times, the outcome bytes back to
+back and each row's outcome length. A bad row raises an error naming ``path:line``,
 the physical line the row starts on, counting blank lines and line breaks
 inside quoted fields; only that row's text is decoded for the message, and
 its line is found only when the error is raised, by reading the file again
@@ -194,13 +195,13 @@ class TaskRows(NamedTuple):
 class _Rows(NamedTuple):
     """Submission rows in input order, parsed but not yet validated."""
 
-    student_ids: list[str]  # each row's, or each run's when ``runs`` is given
+    student_ids: list[str]  # the ids that ``id_index`` points into
     task_ids: list[str]
     time_us: np.ndarray  # int64, _NO_TIME where the text did not parse
     outcomes: np.ndarray  # the rows' outcome characters back to back, uint8
     path: object = None  # the file the rows came from; None for records
     lengths: np.ndarray | None = None  # each row's number of outcome characters
-    runs: tuple[np.ndarray, np.ndarray] | None = None  # each row's student and task run
+    id_index: tuple[np.ndarray, np.ndarray] | None = None  # each row's place in the two
     texts: Callable[[int], tuple] | None = None  # a row's four fields as text
 
     def error(self, i: int, referential: bool, message: str) -> Exception:
@@ -225,7 +226,8 @@ def _text_rows(students, tasks, time_us, outcomes, path=None, times=None) -> _Ro
     def texts(i):
         return students[i], tasks[i], times[i] if times else None, outcomes[i]
 
-    return _Rows(students, tasks, time_us, chars, path, lengths, None, texts)
+    row = np.arange(len(students))
+    return _Rows(students, tasks, time_us, chars, path, lengths, (row, row), texts)
 
 
 class Dataset:
@@ -289,9 +291,9 @@ class Dataset:
     def _store(self, rows: _Rows) -> None:
         """Validate the rows; keep the retained students' rows as columns."""
         n = len(rows.time_us)
-        student_run, task_run = rows.runs or (None, None)
-        task = _coded(self._task_index, rows.task_ids, task_run)
-        student = _coded(self._codes, rows.student_ids, student_run)
+        student_index, task_index = rows.id_index
+        task = _coded(self._task_index, rows.task_ids, task_index)
+        student = _coded(self._codes, rows.student_ids, student_index)
         widths = np.array([t.testcase_count for t in self.tasks] + [-1])  # -1: unknown task
         lengths = rows.lengths
         starts = np.cumsum(lengths) - lengths
@@ -481,11 +483,9 @@ def _counts_at(hits: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     return counts
 
 
-def _coded(codes: dict[str, int], ids: list[str], run: np.ndarray | None) -> np.ndarray:
-    """Each row's code of its id, -1 if unknown; ``run`` maps the rows to
-    ``ids`` when these are the ids of runs of rows."""
-    coded = np.fromiter(map(codes.get, ids, repeat(-1)), np.int64, len(ids))
-    return coded if run is None else coded[run]
+def _coded(codes: dict[str, int], ids: list[str], index: np.ndarray) -> np.ndarray:
+    """Each row's code of its id ``ids[index]``, -1 if unknown."""
+    return np.fromiter(map(codes.get, ids, repeat(-1)), np.int64, len(ids))[index]
 
 
 def _gather_rows(buffer: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -624,15 +624,15 @@ def _plain_rows(path, raw: bytes) -> _Rows | None:
     time_us = _epoch_us_block(_gather_rows(data, w_lo, 20)) if (w_hi - w_lo == 20).all() else None
     if time_us is None:
         time_us = _epoch_us_column(_decoded(body, w_lo, w_hi))
-    student_ids, student_run = _id_runs(body, data, s_lo, s_hi)
-    task_ids, task_run = _id_runs(body, data, t_lo, t_hi)
+    student_ids, student_index = _distinct(data, s_lo, s_hi)
+    task_ids, task_index = _distinct(data, t_lo, t_hi)
 
     def texts(i):
         fields = body[starts[i] : ends[i]].decode("ascii").split(",")
         return tuple(fields[c] for c in columns)
 
-    runs = student_run, task_run
-    return _Rows(student_ids, task_ids, time_us, chars, path, o_hi - o_lo, runs, texts)
+    id_index = student_index, task_index
+    return _Rows(student_ids, task_ids, time_us, chars, path, o_hi - o_lo, id_index, texts)
 
 
 def _inside(size: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -647,21 +647,17 @@ def _decoded(body: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     return [body[a:b].decode("ascii") for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _id_runs(body: bytes, data: np.ndarray, lo, hi) -> tuple[list[str], np.ndarray]:
-    """The id of each run of rows whose fields, the spans from ``lo`` up to
-    ``hi`` of the file's bytes, are equal; and each row's run."""
+def _distinct(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of the spans from ``lo`` up to ``hi`` of the ASCII
+    bytes ``data``, and each span's place among them."""
     length = hi - lo
-    new = np.ones(len(lo), dtype=bool)
-    # Rows of one length are compared as byte strings with their neighbours
-    # of that length; a row next to one of another length starts a run.
-    for width in np.flatnonzero(np.bincount(length)).tolist():
-        at = np.flatnonzero(length == width)
-        keys = np.zeros(len(at), "S1")  # empty fields are all equal
-        if width:
-            keys = _gather_rows(data, lo[at], width).view(f"S{width}").ravel()
-        new[at[1:]] = (keys[1:] != keys[:-1]) | (np.diff(at) > 1)
-    first = np.flatnonzero(new)
-    return _decoded(body, lo[first], hi[first]), np.cumsum(new) - 1
+    width = int(length.max(initial=0)) or 1
+    block = _gather_rows(np.append(data, np.zeros(width, np.uint8)), lo, width)
+    # Bytes past a span's end become NUL, which a plain file never holds,
+    # so equal byte strings are equal texts.
+    block = np.where(np.arange(width) < length[:, None], block, np.uint8(0))
+    keys, index = np.unique(block.view(f"S{width}").ravel(), return_inverse=True)
+    return [key.decode("ascii") for key in keys.tolist()], index.ravel()
 
 
 def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float | None:
