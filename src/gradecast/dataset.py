@@ -57,9 +57,9 @@ The rows of one (task, student) pair are a run. Right after the sort, a few
 O(rows) segment reductions (``reduceat``) index every run: its student, its
 first row, its length and its best row. The best row has the most passes,
 ties to the latest, which in time order is the last row with the run's
-maximum; this is the one definition of a best submission, read by
-``best_submission`` and by the feature families. Each task's rows and runs
-are kept as one ``TaskRows`` of views, built once.
+maximum; this is the one definition of a best submission, read by the
+feature families. Each task's rows and runs are kept as one ``TaskRows`` of
+views, built once.
 """
 
 from __future__ import annotations
@@ -392,14 +392,9 @@ class Dataset:
     def submissions(self, student_id: str, task_id: str) -> list[SubmissionRecord]:
         """The student's submissions to the task, oldest first."""
         rows = self.task_rows(task_id, student_id)
-        return _records(student_id, task_id, rows.time_us, rows.outcomes)
-
-
-def _records(student_id: str, task_id: str, time_us, outcomes) -> list[SubmissionRecord]:
-    """Submission records of rows given by their times and outcome characters."""
-    times = [_EPOCH + us * _MICROSECOND for us in time_us.tolist()]
-    results = [tuple(map(Outcome, chars.tobytes().decode())) for chars in outcomes]
-    return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, results)]
+        times = [_EPOCH + us * _MICROSECOND for us in rows.time_us.tolist()]
+        results = [tuple(map(Outcome, chars.tobytes().decode())) for chars in rows.outcomes]
+        return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, results)]
 
 
 def tasks_before(dataset: Dataset, cutoff: datetime) -> list[TaskSpec]:
@@ -407,16 +402,6 @@ def tasks_before(dataset: Dataset, cutoff: datetime) -> list[TaskSpec]:
     hits = [t for t in dataset.tasks if t.deadline <= cutoff]
     hits.sort(key=lambda t: (t.deadline, t.task_id))
     return hits
-
-
-def best_submission(
-    dataset: Dataset, student_id: str, task_id: str
-) -> SubmissionRecord | None:
-    """The submission passing the most testcases; ties go to the latest one."""
-    rows = dataset.task_rows(task_id, student_id)
-    best = rows.run_best  # the student's one run, if any
-    records = _records(student_id, task_id, rows.time_us[best], rows.outcomes[best])
-    return records[0] if records else None
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -710,7 +695,8 @@ def timeline_from_file(path) -> CourseTimeline:
     except UnicodeDecodeError:
         raise ParseError(path, _bad_byte_line(path), "text is not UTF-8") from None
     values: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # read_text made every line end "\n"; splitlines would also split at "\f".
+    for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

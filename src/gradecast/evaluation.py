@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .labeling import PerformanceCategory, class_order
+from .labeling import PerformanceCategory, label_codes
 
 
 @dataclass
@@ -35,7 +35,7 @@ class ConfusionMatrix:
         return self.counts.sum(axis=0)
 
     def index(self, cls) -> int:
-        return self.classes.index(cls)
+        return int(label_codes([cls], self.classes)[0][0])
 
 
 @dataclass
@@ -63,13 +63,10 @@ def confusion(actual, predicted, classes=None) -> ConfusionMatrix:
         raise ValueError("actual and predicted must have equal lengths")
     if not actual:
         raise ValueError("confusion requires at least one pair")
-    if classes is None:
-        classes = class_order(actual + predicted)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=int)
-    for a, p in zip(actual, predicted):
-        counts[index[a], index[p]] += 1
-    return ConfusionMatrix(list(classes), counts)
+    codes, classes = label_codes(actual + predicted, classes)
+    k = len(classes)
+    cells = codes[: len(actual)] * k + codes[len(actual) :]
+    return ConfusionMatrix(classes, np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 def class_metrics(cm: ConfusionMatrix, cls) -> ClassMetrics:

@@ -142,32 +142,6 @@ def _block(family: str, rows: TaskRows, n: int, threshold: float) -> np.ndarray:
     return block
 
 
-def _cell(family: str, dataset: Dataset, student_id: str, task_id: str, threshold: float = 0.75):
-    return _block(family, dataset.task_rows(task_id, student_id), 1, threshold)[0]
-
-
-def passing_rate(dataset: Dataset, student_id: str, task_id: str) -> float:
-    return float(_cell(PASSING_RATE, dataset, student_id, task_id)[0])
-
-
-def testcase_outcomes(dataset: Dataset, student_id: str, task_id: str) -> np.ndarray:
-    return _cell(TESTCASE_OUTCOMES, dataset, student_id, task_id)
-
-
-def submission_count(dataset: Dataset, student_id: str, task_id: str) -> int:
-    return int(_cell(SUBMISSION_COUNT, dataset, student_id, task_id)[0])
-
-
-def submission_time_interval(
-    dataset: Dataset, student_id: str, task_id: str, threshold: float = 0.75
-) -> float:
-    """Hours before the deadline of the earliest submission whose pass
-    fraction reaches ``threshold``; 0 when no on-time submission does."""
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError("threshold must be in (0, 1]")
-    return float(_cell(STI, dataset, student_id, task_id, threshold)[0])
-
-
 def build_feature_matrix(
     dataset: Dataset,
     family: str,

@@ -43,6 +43,32 @@ def class_order(labels) -> list[object]:
     return sorted(values, key=str)
 
 
+def label_codes(labels, classes=None) -> tuple[np.ndarray, list[object]]:
+    """Each label's index into ``classes``, and the classes: by default
+    ``class_order(labels)``. A label outside given classes raises ConfigError
+    naming it.
+
+    Category labels are matched by identity, one array comparison per
+    category, so no row's label is hashed when every label is a category.
+    """
+    labels = np.asarray(labels, dtype=object)
+    codes = np.full(len(labels), -1, dtype=np.intp)
+    for i, category in enumerate(CATEGORY_ORDER):
+        codes[labels == category] = i
+    categories = len(labels) > 0 and codes.min() >= 0
+    if classes is None:
+        classes = CATEGORY_ORDER if categories else class_order(labels)
+    classes = list(classes)
+    if categories and classes == list(CATEGORY_ORDER):
+        return codes, classes
+    index = {c: i for i, c in enumerate(classes)}
+    try:
+        return np.array([index[label] for label in labels.tolist()], dtype=np.intp), classes
+    except KeyError as exc:
+        names = ", ".join(map(str, classes))
+        raise ConfigError(f"label {exc.args[0]} is not one of the classes [{names}]") from None
+
+
 def round_half_up(x: float, digits: int = 2) -> float:
     """Decimal round-half-up (0.005 -> 0.01), exact on binary doubles."""
     q = Decimal(1).scaleb(-digits)
@@ -79,21 +105,10 @@ class SplitSpec:
 
 def _strata(target: np.ndarray) -> tuple[np.ndarray, list[object]]:
     """Each row's stratum as an index into the strata in class order: the
-    performance category of a grade or of a category label, else the label.
-
-    Category labels are matched by identity, one array comparison per
-    category, so no row's label is hashed.
-    """
+    performance category of a grade or of a category label, else the label."""
     if target.dtype != object:
         return _category_codes(target), list(CATEGORY_ORDER)
-    codes = np.full(len(target), -1, dtype=np.intp)
-    for i, category in enumerate(CATEGORY_ORDER):
-        codes[target == category] = i
-    if (codes >= 0).all():
-        return codes, list(CATEGORY_ORDER)
-    keys = class_order(target)
-    index = {key: i for i, key in enumerate(keys)}
-    return np.array([index[label] for label in target], dtype=np.intp), keys
+    return label_codes(target)
 
 
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:

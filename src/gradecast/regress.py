@@ -18,14 +18,13 @@ numpy runs the same LAPACK and BLAS calls on each item of a stack.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PredictionError, SingularityError, TrainingError
-from .special import f_survival, normal_quantile, ppoints
+from .special import f_survival
 
 _LOG_LAMBDA = 0.01  # |lambda| below this uses the log transform
 _RANK_TOL = 1e-10
@@ -35,10 +34,6 @@ _RANK_TOL = 1e-10
 class PowerTransform:
     lam: float = 1.0
     offset: float = 0.0
-
-    @property
-    def is_identity(self) -> bool:
-        return self.lam == 1.0 and self.offset == 0.0
 
     @property
     def log_mode(self) -> bool:
@@ -215,13 +210,6 @@ def _diagnostics(model: RegressionModel, design, q, y) -> Diagnostics:
     return Diagnostics(fitted, residuals, leverage, studentized)
 
 
-def qq_table(diag: Diagnostics) -> tuple[np.ndarray, np.ndarray]:
-    """Normal Q-Q ordinates: theoretical quantiles vs sorted studentized residuals."""
-    sample = np.sort(diag.studentized[np.isfinite(diag.studentized)])
-    theoretical = np.array([normal_quantile(p) for p in ppoints(len(sample))])
-    return theoretical, sample
-
-
 def suggest_power(model: RegressionModel, diag: Diagnostics) -> float:
     """Suggested transformation power: one minus the spread-level slope.
 
@@ -349,24 +337,3 @@ def predict_grade(model: RegressionModel, row, target_max: float | None = None) 
     values, clamped = predict_grades(model, np.asarray(row, dtype=float)[None], target_max)
     return GradePrediction(float(values[0]), bool(clamped[0]))
 
-
-def model_to_json(model: RegressionModel) -> str:
-    doc = {
-        "coefficients": [float(b) for b in model.coefficients],
-        "columns": list(model.column_names),
-        "lambda": model.transform.lam,
-        "offset": model.transform.offset,
-        "fit_stats": asdict(model.fit_stats),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str) -> RegressionModel:
-    doc = json.loads(text)
-    stats = FitStats(**doc["fit_stats"])
-    return RegressionModel(
-        np.array(doc["coefficients"], dtype=float),
-        PowerTransform(doc["lambda"], doc["offset"]),
-        list(doc["columns"]),
-        stats,
-    )

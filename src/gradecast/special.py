@@ -1,6 +1,6 @@
 """Scalar special functions backing the regression statistics.
 
-Self-contained so the p-values and Q-Q ordinates do not depend on an
+Self-contained so the p-values and the pruning quantile do not depend on an
 external statistics toolchain; accuracy targets are 1e-10 relative for
 the incomplete beta and near machine precision for the normal quantile.
 """
@@ -148,10 +148,3 @@ def normal_quantile(p: float) -> float:
         value = _poly(_E, r) / _poly(_F, r)
     return -value if q < 0.0 else value
 
-
-def ppoints(n: int) -> list[float]:
-    """Plotting positions (i - a) / (n + 1 - 2a), a = 3/8 for n <= 10 else 1/2."""
-    if n < 1:
-        raise ValueError("ppoints requires n >= 1")
-    a = 0.375 if n <= 10 else 0.5
-    return [(i - a) / (n + 1.0 - 2.0 * a) for i in range(1, n + 1)]

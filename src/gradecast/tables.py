@@ -28,7 +28,7 @@ def confusion_text(cm: ConfusionMatrix) -> str:
 def metrics_table_text(rows: list[tuple[str, ClassMetrics]]) -> str:
     """Per-model metric table for one class (precision first, then recall,
     F-measure and FP rate)."""
-    name_width = max(len("model"), max(len(n) for n, _ in rows))
+    name_width = max([len("model"), *(len(n) for n, _ in rows)])
     header = (
         f"{'model'.ljust(name_width)}  precision  recall  f_measure  fp_rate"
     )

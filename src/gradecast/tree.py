@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, PredictionError, TrainingError
 from .features import FeatureMatrix
-from .labeling import PerformanceCategory, class_order
+from .labeling import PerformanceCategory, label_codes
 from .special import normal_quantile
 
 # Candidates must improve on the running best by this much to displace it;
@@ -75,39 +75,6 @@ def entropy(class_counts) -> float:
             p = c / total
             ent -= p * math.log2(p)
     return ent
-
-
-def gain_ratio(parent_counts, children_counts) -> float:
-    """Information gain over split info; 0 when the split info is 0."""
-    parent = list(parent_counts)
-    children = [list(c) for c in children_counts]
-    if not children:
-        raise ValueError("gain_ratio requires at least one child")
-    sums = [sum(col) for col in zip(*children)]
-    if len(sums) != len(parent) or sums != parent:
-        raise ValueError("children class counts do not partition the parent")
-    n = sum(parent)
-    h_parent = entropy(parent)
-    gain = h_parent
-    split_info = 0.0
-    for child in children:
-        size = sum(child)
-        if size == 0:
-            continue
-        w = size / n
-        gain -= w * entropy(child)
-        split_info -= w * math.log2(w)
-    if split_info <= 0.0:
-        return 0.0
-    return gain / split_info
-
-
-@dataclass
-class SplitCandidate:
-    feature: str
-    threshold: float
-    gain: float
-    ratio: float
 
 
 @dataclass
@@ -281,22 +248,6 @@ def _best_split_arrays(
     everything = np.arange(len(label_idx))
     bins = _bin_columns(values)
     return _search(bins, everything, np.zeros_like(everything), label_idx, counts)[0]
-
-
-def best_split(matrix: FeatureMatrix) -> SplitCandidate | None:
-    """Best (feature, threshold) by gain ratio for the rows of ``matrix``."""
-    if matrix.target is None:
-        raise TrainingError("best_split requires a target column")
-    if matrix.n_rows < 2:
-        return None
-    classes = class_order(matrix.target)
-    index = {c: i for i, c in enumerate(classes)}
-    label_idx = np.array([index[t] for t in matrix.target])
-    hit = _best_split_arrays(matrix.values, label_idx, len(classes))
-    if hit is None:
-        return None
-    j, threshold, gain, ratio = hit
-    return SplitCandidate(matrix.column_names[j], threshold, gain, ratio)
 
 
 def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
@@ -481,11 +432,8 @@ def train_trees(
         raise TrainingError("training set is empty")
     if not row_sets:
         return []
-    classes = [class_order(matrix.target[rows]) for rows in row_sets]
-    labels = []
-    for cls, rows in zip(classes, row_sets):
-        index = {c: i for i, c in enumerate(cls)}
-        labels.append(np.array([index[y] for y in matrix.target[rows]], dtype=np.intp))
+    coded = [label_codes(matrix.target[rows]) for rows in row_sets]
+    labels, classes = [codes for codes, _ in coded], [cls for _, cls in coded]
     column_names = list(matrix.column_names)
     roots = _grow(matrix.values, labels, row_sets, classes, column_names, config)
     if config.pruning:

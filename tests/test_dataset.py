@@ -1,18 +1,19 @@
 import csv
 import re
-from datetime import datetime, timedelta
+import math
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from gradecast.dataset import (
+    CourseTimeline,
     Dataset,
     GradeRecord,
     load_dataset,
-    best_submission,
     tasks_before,
     timeline_from_file,
     _counts_at,
@@ -213,8 +214,15 @@ def test_tasks_before_orders_by_deadline_then_id():
     assert [t.task_id for t in tasks_before(ds, MIDTERM)] == ["a", "b"]
 
 
+def best_row(dataset, student_id, task_id):
+    """The submission the run index marks as the student's best; None if none."""
+    best = dataset.task_rows(task_id, student_id).run_best  # the one run, if any
+    records = dataset.submissions(student_id, task_id)
+    return records[int(best[0])] if len(best) else None
+
+
 def test_best_submission_prefers_passes_then_latest(small_dataset):
-    best = best_submission(small_dataset, "s1", "t1")
+    best = best_row(small_dataset, "s1", "t1")
     assert best.passed_count == 4
 
     # two submissions passing 3: tie broken by the later timestamp
@@ -226,18 +234,18 @@ def test_best_submission_prefers_passes_then_latest(small_dataset):
         sub("s1", "t1", hours_before(d1, 20.0), "FPPP"),
     ]
     ds = Dataset(tasks, make_timeline(), subs, [GradeRecord("s1", 60.0, 60.0)])
-    best = best_submission(ds, "s1", "t1")
+    best = best_row(ds, "s1", "t1")
     assert best.submitted_at == hours_before(d1, 20.0)
 
-    assert best_submission(small_dataset, "s3", "t1") is None
+    assert best_row(small_dataset, "s3", "t1") is None
     with pytest.raises(ReferentialError):
-        best_submission(small_dataset, "s1", "t9")
+        best_row(small_dataset, "s1", "t9")
 
 
 def test_best_submission_dominates_all_others(small_dataset):
     for sid in small_dataset.student_ids:
         for task in small_dataset.tasks:
-            best = best_submission(small_dataset, sid, task.task_id)
+            best = best_row(small_dataset, sid, task.task_id)
             others = small_dataset.submissions(sid, task.task_id)
             if best is None:
                 assert others == []
@@ -273,8 +281,8 @@ def test_run_index_of_tasks_without_rows_and_of_excluded_students():
     assert ds.task_rows("t2", "s2").outcomes.tobytes() == b"PPPF"
     for task, student in [("t0", "s2"), ("t1", "gone"), ("t3", "s1"), ("t2", "nobody")]:
         assert runs(ds.task_rows(task, student)) == none
-        assert best_submission(ds, student, task) is None
-    assert best_submission(ds, "s1", "t0").submitted_at == hours_before(d, 2.0)
+        assert best_row(ds, student, task) is None
+    assert best_row(ds, "s1", "t0").submitted_at == hours_before(d, 2.0)
 
     # No retained row at all: every task is empty.
     for empty in (
@@ -511,6 +519,127 @@ def test_timeline_file_with_a_bom_loads(tmp_path):
     cfg = tmp_path / "timeline.cfg"
     cfg.write_bytes(b"\xef\xbb\xbf" + TIMELINE_CFG.encode())
     assert timeline_from_file(cfg) == make_timeline()
+
+
+TIMELINE_KEYS = ("midterm_date", "final_date", "midterm_max", "final_max")
+BAD = object()  # a value that does not parse
+
+
+@st.composite
+def timeline_values(draw, key):
+    """A value's text for the key, and what it parses to (BAD if nothing).
+    One value in ten does not parse, and one maximum in nine is refused by
+    CourseTimeline; midterm dates mostly precede final dates."""
+    if key.endswith("_date"):
+        first = 2000 if key == "midterm_date" else 2010
+        naive = draw(st.datetimes(datetime(first, 1, 1), datetime(first + 20, 1, 1)))
+        when = naive.replace(tzinfo=timezone.utc)
+        elsewhere = when.astimezone(timezone(timedelta(hours=-5))).isoformat()
+        texts = [naive.isoformat() + "Z", naive.isoformat(sep=" "), elsewhere]
+        good = [(text, when) for text in texts]
+        bad = ["2016-13-20T00:00:00Z", "2016-10-24T25:00:00Z", "soon", ""]
+    elif key.endswith("_max"):
+        x = draw(st.floats(1e-3, 1e6))
+        n = draw(st.integers(1, 500))
+        good = [(repr(x), x), (str(n), float(n))] * 4
+        refused = [("0", 0.0), ("-5", -5.0), ("inf", math.inf), ("nan", math.nan)]
+        good.append(draw(st.sampled_from(refused)))
+        bad = ["abc", "", "1,5", "12 points"]
+    else:
+        return draw(st.sampled_from(["CS101", "", "a=b"])), None
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(bad)), BAD
+    return draw(st.sampled_from(good))
+
+
+@st.composite
+def timeline_lines(draw, key=None):
+    """A line model (kind, key, value) and the line's text."""
+    kinds = ["blank", "comment", "entry"] * 3 + ["garbage"]
+    kind = "entry" if key else draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return (kind, None, None), draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "comment":
+        # Form feed, NEL and FS are not line ends in a file, though
+        # str.splitlines splits at them.
+        texts = ["# timeline", "  # midterm_max = 5", "#", "# a\x0cb", "# a\x85b", "#\x1c"]
+        return (kind, None, None), draw(st.sampled_from(texts))
+    if kind == "garbage":
+        return (kind, None, None), draw(st.sampled_from(["oops", "midterm_max 110"]))
+    key = key or draw(st.sampled_from(TIMELINE_KEYS + ("course", "")))
+    text, value = draw(timeline_values(key))
+    pads = [draw(st.sampled_from(["", " ", "  ", "\t", "\x0c"])) for _ in range(4)]
+    return (kind, key, value), f"{pads[0]}{key}{pads[1]}={pads[2]}{text}{pads[3]}"
+
+
+def expected_timeline(models, bad_byte_line):
+    """The CourseTimeline of the lines' values, or the error's type and its
+    line (for a ParseError) or the missing keys (for a ConfigError)."""
+    if bad_byte_line is not None:
+        return ParseError, bad_byte_line
+    values = {}  # a repeated key's last value wins
+    for line_no, (kind, key, value) in enumerate(models, start=1):
+        if kind == "garbage":
+            return ParseError, line_no
+        if kind == "entry" and key in TIMELINE_KEYS:
+            values[key] = line_no, value
+    missing = [key for key in TIMELINE_KEYS if key not in values]
+    if missing:
+        return ConfigError, missing
+    for key in TIMELINE_KEYS:
+        line_no, value = values[key]
+        if value is BAD:
+            return ParseError, line_no
+    try:
+        return CourseTimeline(**{key: values[key][1] for key in TIMELINE_KEYS})
+    except ConfigError:
+        return ConfigError, []
+
+
+@settings(deadline=None)
+@given(
+    complete=st.sampled_from([True, True, True, False]),
+    extra=st.lists(timeline_lines(), max_size=6),
+    order=st.randoms(use_true_random=False),
+    end=st.sampled_from(["\n", "\r\n"]),
+    final_end=st.booleans(),
+    bom=st.booleans(),
+    bad_byte=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 20)),
+    data=st.data(),
+)
+def test_timeline_file_gives_its_values_or_an_error_naming_the_line(
+    tmp_path_factory, complete, extra, order, end, final_end, bom, bad_byte, data
+):
+    lines = [data.draw(timeline_lines(key)) for key in TIMELINE_KEYS] if complete else []
+    lines += extra
+    order.shuffle(lines)
+    models = [model for model, _text in lines]
+    encoded = [text.encode() for _model, text in lines]
+    bad_byte_line = None
+    if bad_byte is not None and encoded:
+        bad_byte_line = bad_byte % len(encoded) + 1
+        encoded[bad_byte_line - 1] += b"\xff"
+    raw = b"\xef\xbb\xbf" * bom + end.encode().join(encoded) + end.encode() * final_end
+    cfg = tmp_path_factory.mktemp("timeline") / "timeline.cfg"
+    cfg.write_bytes(raw)
+
+    expected = expected_timeline(models, bad_byte_line)
+    try:
+        got = timeline_from_file(cfg)
+    except GradecastError as err:
+        assert not isinstance(expected, CourseTimeline), err
+        kind, detail = expected
+        assert type(err) is kind
+        event(kind.__name__)
+        if kind is ParseError:
+            assert err.line_no == detail
+            assert str(err).startswith(f"{cfg}:{detail}: ")
+        else:
+            assert all(key in str(err) for key in detail)
+    else:
+        event("CourseTimeline")
+        assert got == expected
+        assert got.midterm_date.utcoffset() == got.final_date.utcoffset() == timedelta(0)
 
 
 # ------------------------------------------------ grades as arrays

@@ -49,6 +49,18 @@ def test_confusion_total_equals_n(pairs):
     assert cm.col_sums().tolist() == [predicted.count(c) for c in cm.classes]
 
 
+def test_a_label_outside_the_classes_is_a_config_error_naming_it():
+    with pytest.raises(ConfigError, match="label SP is not one of the classes"):
+        confusion([PP, SP], [PP, PP], classes=[PP])
+    with pytest.raises(ConfigError, match="label b is not one of the classes"):
+        confusion(["a"], ["b"], classes=["a"])
+    cm = confusion(["a", "b"], ["b", "b"])
+    with pytest.raises(ConfigError, match="label z is not one of the classes"):
+        class_metrics(cm, "z")
+    with pytest.raises(ConfigError, match="label PP is not one of the classes"):
+        class_metrics(cm, PP)
+
+
 # ------------------------------------------------------------ class metrics
 
 def test_class_metrics_never_predicted_class_has_undefined_precision():
@@ -76,6 +88,47 @@ def test_class_metrics_f_is_zero_when_precision_and_recall_are_zero():
     assert m.recall == 0.0
     assert m.f_measure == 0.0
     assert m.fp_rate == 1.0
+
+
+def one_vs_rest_counts(actual, predicted, cls):
+    """Frozen per-pair count: (tp, fp, fn, tn) of ``cls`` against the rest."""
+    tp = fp = fn = tn = 0
+    for a, p in zip(actual, predicted):
+        if a == cls and p == cls:
+            tp += 1
+        elif p == cls:
+            fp += 1
+        elif a == cls:
+            fn += 1
+        else:
+            tn += 1
+    return tp, fp, fn, tn
+
+
+@given(st.data())
+def test_class_metrics_equal_a_per_pair_one_vs_rest_count(data):
+    pool = data.draw(st.sampled_from([[PP, SP, GP], ["a", "b", "c", "d"]]))
+    label = st.sampled_from(pool)
+    pairs = data.draw(st.lists(st.tuples(label, label), min_size=1, max_size=40))
+    actual, predicted = zip(*pairs)
+    cm = confusion(actual, predicted, classes=data.draw(st.sampled_from([None, pool])))
+    cls = data.draw(st.sampled_from(cm.classes))
+    m = class_metrics(cm, cls)
+    tp, fp, fn, tn = one_vs_rest_counts(actual, predicted, cls)
+    assert m.cls == cls
+    # Each ratio is None exactly where it is 0/0.
+    for value, numerator, denominator in (
+        (m.precision, tp, tp + fp),
+        (m.recall, tp, tp + fn),
+        (m.fp_rate, fp, fp + tn),
+    ):
+        assert value == (numerator / denominator if denominator else None)
+    if m.precision is None or m.recall is None:
+        assert m.f_measure is None
+    elif m.precision == m.recall == 0.0:
+        assert m.f_measure == 0.0
+    else:
+        assert m.f_measure == pytest.approx(2 * tp / (2 * tp + fp + fn), rel=1e-12)
 
 
 def test_class_metrics_one_vs_rest_arithmetic():

@@ -6,20 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradecast.dataset import Dataset, GradeRecord, Outcome, best_submission
-from gradecast.errors import ConfigError, ReferentialError
-from gradecast.features import (
-    FAMILIES,
-    FeatureConfig,
-    FeatureMatrix,
-    build_feature_matrix,
-    passing_rate,
-    submission_count,
-    submission_time_interval,
-)
-from gradecast.features import testcase_outcomes as outcome_vector
+from gradecast.dataset import Dataset, GradeRecord, Outcome
+from gradecast.errors import ConfigError
+from gradecast.features import FAMILIES, FeatureConfig, FeatureMatrix, build_feature_matrix
 
 from conftest import MIDTERM, hours_before, make_task, make_timeline, sub
+
+
+def cell(dataset, family, student_id, task_id, threshold=0.75):
+    """The student's cell of a one-task matrix: the family's values for the task."""
+    m = build_feature_matrix(dataset, family, FeatureConfig((task_id,), threshold))
+    return m.values[m.student_ids.index(student_id)]
+
+
+def passing_rate(dataset, student_id, task_id):
+    return float(cell(dataset, "passing_rate", student_id, task_id)[0])
+
+
+def outcome_vector(dataset, student_id, task_id):
+    return cell(dataset, "testcase_outcomes", student_id, task_id)
+
+
+def submission_count(dataset, student_id, task_id):
+    return int(cell(dataset, "submission_count", student_id, task_id)[0])
+
+
+def sti_hours(dataset, student_id, task_id, threshold=0.75):
+    return float(cell(dataset, "sti", student_id, task_id, threshold)[0])
 
 
 def test_passing_rate_is_m_over_n(small_dataset):
@@ -27,7 +40,7 @@ def test_passing_rate_is_m_over_n(small_dataset):
     # s2's best on t1 is the late 3-of-4 submission
     assert passing_rate(small_dataset, "s2", "t1") == 0.75
     assert passing_rate(small_dataset, "s3", "t1") == 0.0
-    with pytest.raises(ReferentialError):
+    with pytest.raises(ConfigError):
         passing_rate(small_dataset, "s1", "nope")
 
 
@@ -63,9 +76,9 @@ def test_submission_count_heavy_resubmitter(timeline):
 
 def test_sti_uses_earliest_qualifying_submission(small_dataset):
     # s1/t1: 30h-before submission is the first to reach 3/4 = 75%
-    assert submission_time_interval(small_dataset, "s1", "t1") == pytest.approx(30.0)
+    assert sti_hours(small_dataset, "s1", "t1") == pytest.approx(30.0)
     # threshold 1.0 requires the 10h-before full pass
-    assert submission_time_interval(small_dataset, "s1", "t1", 1.0) == pytest.approx(10.0)
+    assert sti_hours(small_dataset, "s1", "t1", 1.0) == pytest.approx(10.0)
 
 
 def test_sti_paper_style_cases(timeline):
@@ -81,9 +94,9 @@ def test_sti_paper_style_cases(timeline):
     subs.append(sub("s3", "t1", hours_before(deadline, -2.0), "PPPP"))
     ds = Dataset(tasks, timeline, subs, grades)
 
-    assert submission_time_interval(ds, "s1", "t1") == pytest.approx(23.0)
-    assert submission_time_interval(ds, "s2", "t1") == 0.0
-    assert submission_time_interval(ds, "s3", "t1") == 0.0
+    assert sti_hours(ds, "s1", "t1") == pytest.approx(23.0)
+    assert sti_hours(ds, "s2", "t1") == 0.0
+    assert sti_hours(ds, "s3", "t1") == 0.0
 
 
 def test_sti_monotone_in_threshold(small_dataset):
@@ -91,7 +104,7 @@ def test_sti_monotone_in_threshold(small_dataset):
     for sid in small_dataset.student_ids:
         for task in small_dataset.tasks:
             values = [
-                submission_time_interval(small_dataset, sid, task.task_id, t)
+                sti_hours(small_dataset, sid, task.task_id, t)
                 for t in thresholds
             ]
             assert all(a >= b for a, b in zip(values, values[1:]))
@@ -298,28 +311,21 @@ def test_feature_matrix_equals_reference_cells_exactly(course, family, threshold
         expected.to_csv(Path(tmp, "expected.csv"))
         assert Path(tmp, "ours.csv").read_bytes() == Path(tmp, "expected.csv").read_bytes()
 
-    cell = {
-        "passing_rate": passing_rate,
-        "testcase_outcomes": outcome_vector,
-        "submission_count": submission_count,
-        "sti": lambda *a: submission_time_interval(*a, threshold),
-    }[family]
-    cells = [np.hstack([cell(dataset, sid, t) for t in scope]) for sid in dataset.student_ids]
-    assert np.array_equal(
-        np.array(cells, dtype=float).reshape(expected.values.shape), expected.values
-    )
-
 
 @given(courses())
 def test_best_submission_equals_the_frozen_max(course):
+    # The best row has the most passes, ties to the latest: its outcomes are
+    # each student's testcase_outcomes cell, all zeros without a submission.
     tasks, records, grades = course
     dataset = Dataset(tasks, make_timeline(), records, grades)
     by_pair = {}
     for record in records:
         by_pair.setdefault((record.student_id, record.task_id), []).append(record)
-    for g in grades:
-        retained = g.student_id in dataset.student_ids
-        for task in tasks:
-            rows = by_pair.get((g.student_id, task.task_id), []) if retained else []
-            expected = max(rows, key=lambda s: (s.passed_count, s.submitted_at), default=None)
-            assert best_submission(dataset, g.student_id, task.task_id) == expected
+    for task in tasks:
+        for sid in dataset.student_ids:
+            rows = by_pair.get((sid, task.task_id), [])
+            best = max(rows, key=lambda s: (s.passed_count, s.submitted_at), default=None)
+            expected = [0.0] * task.testcase_count
+            if best is not None:
+                expected = [float(o is Outcome.PASSED) for o in best.outcomes]
+            assert outcome_vector(dataset, sid, task.task_id).tolist() == expected

@@ -12,6 +12,7 @@ from gradecast.labeling import (
     categorize,
     categorize_all,
     class_order,
+    label_codes,
     round_half_up,
     split,
 )
@@ -208,3 +209,21 @@ def test_split_equals_the_per_row_reference(kind, grades, fraction, seed, strati
     assert train.student_ids == [m.student_ids[i] for i in train_idx]
     assert test.student_ids == [m.student_ids[i] for i in test_idx]
     assert train.target.tolist() == target[train_idx].tolist()
+
+
+@given(st.data())
+def test_label_codes_equal_class_order_and_a_per_row_index(data):
+    pool = data.draw(st.sampled_from([[PP, SP, GP], ["b", "a", 10, 2], [GP, "a", PP, 2]]))
+    labels = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    codes, classes = label_codes(labels)
+    assert classes == class_order(labels)
+    assert codes.tolist() == [classes.index(label) for label in labels]
+    # Against given classes: any order of a superset of the labels.
+    given_classes = data.draw(st.permutations(pool))
+    codes, classes = label_codes(np.array(labels, dtype=object), given_classes)
+    assert classes == given_classes
+    assert codes.tolist() == [given_classes.index(label) for label in labels]
+    missing = [c for c in pool if c not in labels]
+    if missing:
+        with pytest.raises(ConfigError, match=f"label {missing[0]} is not one of the classes"):
+            label_codes([*labels, missing[0]], [c for c in pool if c in labels])

@@ -7,18 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from gradecast.errors import PredictionError, SingularityError, TrainingError
 from gradecast.regress import (
-    Diagnostics,
     FitStats,
     PowerTransform,
     RegressionModel,
     diagnostics,
     fit_least_squares,
     fit_transformed,
-    model_from_json,
-    model_to_json,
     predict_grade,
     predict_grades,
-    qq_table,
     suggest_power,
 )
 
@@ -152,19 +148,6 @@ def test_studentized_residuals_formula():
     s = model.fit_stats.residual_std
     expected = diag.residuals / (s * np.sqrt(1 - diag.leverage))
     assert np.allclose(diag.studentized, expected)
-
-
-def test_qq_ordinates_match_independent_quantiles():
-    diag = Diagnostics(
-        fitted=np.ones(5),
-        residuals=np.zeros(5),
-        leverage=np.zeros(5),
-        studentized=np.array([0.3, -1.2, 0.9, 2.0, -0.1]),
-    )
-    theoretical, sample = qq_table(diag)
-    positions = (np.arange(1, 6) - 0.375) / (5 + 0.25)
-    assert np.allclose(theoretical, scipy.stats.norm.ppf(positions), atol=1e-6)
-    assert sample.tolist() == sorted([0.3, -1.2, 0.9, 2.0, -0.1])
 
 
 # ------------------------------------------------------------ power suggest
@@ -336,21 +319,6 @@ def test_prediction_row_shape_checked():
     model = fit_least_squares(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 3.0, 5.0]))
     with pytest.raises(PredictionError):
         predict_grade(model, [1.0, 2.0])
-
-
-# ------------------------------------------------------------ serialization
-
-def test_model_json_round_trip():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(20, 2)) + 5
-    y = 2 + X[:, 0] + rng.normal(size=20) * 0.1 + 10
-    model = fit_transformed(X, y, offset=1.0, columns=["a", "b"])
-    text = model_to_json(model)
-    again = model_from_json(text)
-    assert np.allclose(again.coefficients, model.coefficients)
-    assert again.transform == model.transform
-    assert again.column_names == ["a", "b"]
-    assert model_to_json(again) == text
 
 
 def constant_model(value: float, transform: PowerTransform):

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-from gradecast.special import betainc_regularized, f_survival, normal_quantile, ppoints
+from gradecast.special import betainc_regularized, f_survival, normal_quantile
 
 
 def test_betainc_matches_scipy_on_grid():
@@ -67,12 +65,3 @@ def test_normal_quantile_symmetry_and_domain():
         with pytest.raises(ValueError):
             normal_quantile(bad)
 
-
-def test_ppoints_convention():
-    # a = 3/8 for small n, matching the usual Q-Q plotting positions
-    got = ppoints(5)
-    expected = [(i - 0.375) / (5 + 1 - 0.75) for i in range(1, 6)]
-    assert got == pytest.approx(expected)
-    big = ppoints(11)
-    assert big[0] == pytest.approx(0.5 / 11)
-    assert math.isclose(sum(ppoints(7)), 3.5)

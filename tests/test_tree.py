@@ -18,10 +18,8 @@ from gradecast.tree import (
     TreeModel,
     _best_split_arrays,
     _leaf_estimate,
-    best_split,
     entropy,
     from_json,
-    gain_ratio,
     predict_many,
     predict_tree,
     to_json,
@@ -81,12 +79,26 @@ def test_entropy_bounds_and_errors():
 
 # ------------------------------------------------------------- gain ratio
 
+def two_child_split(children):
+    """One column and class indices whose only candidate split, at 0.5, has
+    these (left, right) class counts."""
+    values, label_idx = [], []
+    for value, counts in enumerate(children):
+        for cls, count in enumerate(counts):
+            values += [value] * count
+            label_idx += [cls] * count
+    return np.array(values, dtype=float).reshape(-1, 1), np.array(label_idx)
+
+
 def test_gain_ratio_perfect_balanced_split():
-    assert gain_ratio([4, 4], [[4, 0], [0, 4]]) == pytest.approx(1.0)
+    values, label_idx = two_child_split([[4, 0], [0, 4]])
+    assert _best_split_arrays(values, label_idx, 2) == (0, 0.5, 1.0, 1.0)
 
 
 def test_gain_ratio_zero_when_children_mirror_parent():
-    assert gain_ratio([4, 4], [[2, 2], [2, 2]]) == pytest.approx(0.0)
+    # No positive gain, so no split.
+    values, label_idx = two_child_split([[2, 2], [2, 2]])
+    assert _best_split_arrays(values, label_idx, 2) is None
 
 
 def test_gain_ratio_frozen_value():
@@ -94,13 +106,11 @@ def test_gain_ratio_frozen_value():
     h = -(0.8 * math.log2(0.8) + 0.2 * math.log2(0.2))
     expected = 1.0 - h
     assert expected == pytest.approx(0.27807190511263774, abs=1e-12)
-    assert gain_ratio([5, 5], [[4, 1], [1, 4]]) == pytest.approx(expected, abs=1e-12)
-    assert round(gain_ratio([5, 5], [[4, 1], [1, 4]]), 4) == 0.2781
-
-
-def test_gain_ratio_requires_partition():
-    with pytest.raises(ValueError):
-        gain_ratio([4, 4], [[4, 0], [0, 3]])
+    values, label_idx = two_child_split([[4, 1], [1, 4]])
+    _column, _threshold, gain, ratio = _best_split_arrays(values, label_idx, 2)
+    assert gain == pytest.approx(expected, abs=1e-12)
+    assert ratio == pytest.approx(expected, abs=1e-12)
+    assert round(ratio, 4) == 0.2781
 
 
 def test_gain_ratio_invariant_under_class_relabeling():
@@ -111,11 +121,15 @@ def test_gain_ratio_invariant_under_class_relabeling():
         children = [left.tolist(), (parent - left).tolist()]
         if sum(children[0]) == 0 or sum(children[1]) == 0:
             continue
-        base = gain_ratio(parent.tolist(), children)
+        values, label_idx = two_child_split(children)
+        base = _best_split_arrays(values, label_idx, 3)
         for perm in itertools.permutations(range(3)):
-            permuted_parent = [parent[i] for i in perm]
-            permuted_children = [[c[i] for i in perm] for c in children]
-            assert gain_ratio(permuted_parent, permuted_children) == pytest.approx(base)
+            hit = _best_split_arrays(values, np.array(perm)[label_idx], 3)
+            if base is None:
+                assert hit is None
+            else:
+                assert hit[:2] == base[:2]
+                assert hit[2:] == pytest.approx(base[2:])
 
 
 # ------------------------------------------------------------- best split
@@ -166,22 +180,19 @@ def oracle_best_split(values, labels):
 
 
 def test_best_split_unique_perfect_threshold():
-    m = matrix_of([1, 2, 3, 4], ["A", "A", "B", "B"])
-    hit = best_split(m)
-    assert hit.feature == "f0"
-    assert hit.threshold == pytest.approx(2.5)
-    assert hit.ratio == pytest.approx(1.0)
+    hit = _best_split_arrays(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]), 2)
+    assert hit[:2] == (0, 2.5)
+    assert hit[3] == pytest.approx(1.0)
 
 
 def test_best_split_none_when_pure():
-    m = matrix_of([1, 2, 3], ["A", "A", "A"])
-    assert best_split(m) is None
+    assert _best_split_arrays(np.array([[1.0], [2.0], [3.0]]), np.array([0, 0, 0]), 1) is None
 
 
 def test_best_split_none_when_no_positive_gain():
     # same value everywhere: no candidate thresholds at all
-    m = matrix_of([2, 2, 2, 2], ["A", "B", "A", "B"])
-    assert best_split(m) is None
+    values = np.full((4, 1), 2.0)
+    assert _best_split_arrays(values, np.array([0, 1, 0, 1]), 2) is None
 
 
 def test_best_split_matches_bruteforce_oracle():
@@ -191,15 +202,13 @@ def test_best_split_matches_bruteforce_oracle():
         p = int(rng.integers(1, 3))
         values = np.round(rng.uniform(0, 10, size=(n, p)), 1)
         labels = [str(c) for c in rng.integers(0, 3, size=n)]
-        m = matrix_of(values, labels)
-        ours = best_split(m)
+        classes, label_idx = np.unique(labels, return_inverse=True)
+        ours = _best_split_arrays(values, label_idx, len(classes))
         ref = oracle_best_split(values, labels)
         if ref is None:
             assert ours is None
             continue
-        j, threshold = ref
-        assert ours.feature == f"f{j}"
-        assert ours.threshold == threshold
+        assert ours[:2] == ref
 
 
 # Frozen per-column scan that node search used to run, one threshold at a
