@@ -311,6 +311,14 @@ def test_feature_matrix_equals_reference_cells_exactly(course, family, threshold
         expected.to_csv(Path(tmp, "expected.csv"))
         assert Path(tmp, "ours.csv").read_bytes() == Path(tmp, "expected.csv").read_bytes()
 
+    cells = [
+        np.hstack([cell(dataset, family, sid, t, threshold) for t in scope])
+        for sid in dataset.student_ids
+    ]
+    assert np.array_equal(
+        np.array(cells, dtype=float).reshape(expected.values.shape), expected.values
+    )
+
 
 @given(courses())
 def test_best_submission_equals_the_frozen_max(course):
