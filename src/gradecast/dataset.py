@@ -116,16 +116,26 @@ class CourseTimeline:
     final_max: float
 
     def __post_init__(self):
-        if self.midterm_date >= self.final_date:
-            raise ConfigError("midterm_date must precede final_date")
-        if not (0 < self.midterm_max < math.inf and 0 < self.final_max < math.inf):
-            raise ConfigError("exam maxima must be positive and finite")
+        refused = _refused_timeline_field(vars(self))
+        if refused:
+            raise ConfigError(refused[1])
 
     def exam_date(self, exam: str) -> datetime:
         return self.midterm_date if exam == "midterm" else self.final_date
 
     def exam_max(self, exam: str) -> float:
         return self.midterm_max if exam == "midterm" else self.final_max
+
+
+def _refused_timeline_field(fields) -> tuple[str, str] | None:
+    """(field, reason) of the first timeline value a CourseTimeline refuses,
+    or None; dates out of order are charged to ``final_date``."""
+    if fields["midterm_date"] >= fields["final_date"]:
+        return "final_date", "midterm_date must precede final_date"
+    for key in ("midterm_max", "final_max"):
+        if not 0 < fields[key] < math.inf:
+            return key, "exam maxima must be positive and finite"
+    return None
 
 
 @dataclass(frozen=True)
@@ -720,4 +730,9 @@ def timeline_from_file(path) -> CourseTimeline:
             fields[key] = parse(value)
         except ValueError:
             raise ParseError(path, line_no, f"bad {key} {value!r}") from None
+    refused = _refused_timeline_field(fields)
+    if refused:
+        key, reason = refused
+        line_no, value = values[key]
+        raise ParseError(path, line_no, f"{key} {value!r} refused: {reason}")
     return CourseTimeline(**fields)

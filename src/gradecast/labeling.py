@@ -36,11 +36,12 @@ _CATEGORIES = np.array(CATEGORY_ORDER, dtype=object)
 
 
 def class_order(labels) -> list[object]:
-    """PP, SP, GP when every label is a category; else the labels sorted by name."""
+    """PP, SP, GP when every label is a category; else the labels sorted by
+    name, then by type name, so that ``1`` comes before ``'1'``."""
     values = set(labels)
     if values and all(isinstance(v, PerformanceCategory) for v in values):
         return list(CATEGORY_ORDER)
-    return sorted(values, key=str)
+    return sorted(values, key=lambda v: (str(v), type(v).__name__))
 
 
 def label_codes(labels, classes=None) -> tuple[np.ndarray, list[object]]:

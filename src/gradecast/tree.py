@@ -1,5 +1,14 @@
 """Entropy-based decision-tree induction over numeric features.
 
+A ``TreeModel`` holds one array per node field, as scikit-learn's ``Tree``
+does, each node before its children: ``feature`` (the column, -1 at a
+leaf), ``threshold``, ``child`` (a split's children are ``child[i]`` and
+``child[i] + 1``) and ``counts`` (nodes x classes). A leaf predicts the
+majority of its counts, ties to the earlier class. Growing, pruning,
+prediction and JSON use these arrays and never recurse, so depth is not
+bounded by the recursion limit; ``TreeModel.root`` is a read-only view of
+the tree as ``Leaf`` and ``Split`` objects.
+
 Splits are binary numeric thresholds chosen by maximum gain ratio among
 candidates with positive information gain; candidate thresholds are the
 midpoints between consecutive distinct sorted values of each column.
@@ -15,9 +24,8 @@ The trees grow together, one depth at a time: one ``bincount`` gives the
 bins the batch occupies, and integer cumulative sums along each node's bins
 give every candidate's left class counts. Gains and ratios use the same
 elementwise formulas as a one-node search, so every value is bit-identical.
-Only nodes that can split are searched: a child of one class, or with fewer
-than ``2 * min_leaf`` rows, becomes a leaf when its parent splits, and its
-rows leave the frontier.
+Only nodes that can split are searched: a node of one class, or with fewer
+than ``2 * min_leaf`` rows, is a leaf.
 A depth is searched in batches of nodes whose cells (rows x columns) and
 histogram (nodes x occupied bins x classes) each stay within
 ``_CHUNK_CELLS``, which bounds the search's memory on wide matrices; a node
@@ -27,8 +35,7 @@ The tie rule is the one a threshold-by-threshold scan applies: the
 scan-order displacement test runs per node, on the candidates whose ratio
 beats all earlier ones of the node, the only ones that can displace the
 running best. Rows are routed by ``value <= threshold``, so a midpoint that
-rounds onto the upper value sends that value left. Growing and pruning use
-no recursion, so tree depth is not bounded by the recursion limit.
+rounds onto the upper value sends that value left, and a NaN goes right.
 
 Optional pruning is pessimistic subtree replacement: a subtree collapses
 to a leaf when the leaf's estimated error count (an upper confidence
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -115,15 +122,32 @@ class TreeConfig:
             raise ConfigError("pruning_confidence must be in (0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeModel:
+    """A tree as node arrays; see the module docstring."""
+
     classes: list[object]
     column_names: list[str]
-    root: TreeNode
-    config: TreeConfig = field(default_factory=TreeConfig)
+    config: TreeConfig
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    counts: np.ndarray
 
-    def __post_init__(self):
-        self._column_index = {name: i for i, name in enumerate(self.column_names)}
+    @property
+    def root(self) -> TreeNode:
+        """The tree as ``Leaf`` and ``Split`` objects, children built first."""
+        feature, cut, child = self.feature.tolist(), self.threshold.tolist(), self.child.tolist()
+        counts, majority = self.counts.tolist(), self.counts.argmax(axis=1).tolist()
+        nodes = [None] * len(child)
+        for i in reversed(range(len(child))):
+            c = child[i]
+            if c < 0:
+                nodes[i] = Leaf(self.classes[majority[i]], counts[i])
+            else:
+                name = self.column_names[feature[i]]
+                nodes[i] = Split(name, cut[i], nodes[c], nodes[c + 1], counts[i])
+        return nodes[0]
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -270,6 +294,16 @@ def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
         yield start, len(sizes)
 
 
+def _subtree(keep: np.ndarray, feature, threshold, child, counts):
+    """(feature, threshold, child, counts) of the nodes ``keep`` selects,
+    renumbered in order; a node whose ``child`` is -1 is a leaf, and a kept
+    split's children must be kept."""
+    number, child = np.cumsum(keep) - 1, child[keep]
+    leaf = child < 0
+    feature, threshold = np.where(leaf, -1, feature[keep]), np.where(leaf, 0.0, threshold[keep])
+    return feature, threshold, np.where(leaf, -1, number[child]), counts[keep]
+
+
 def _grow(
     values: np.ndarray,
     labels: list[np.ndarray],
@@ -277,85 +311,75 @@ def _grow(
     classes: list[list[object]],
     column_names: list[str],
     config: TreeConfig,
-) -> list[TreeNode]:
-    """Grow one tree per row set, all frontier nodes of a depth at once.
+) -> list[TreeModel]:
+    """Grow one tree per row set, all nodes of a depth at once.
 
     ``labels[t]`` holds the class indices of ``row_sets[t]`` in tree t's
-    ``classes[t]``.
+    ``classes[t]``. Nodes are numbered across the batch: the roots first,
+    then each depth's nodes, two per split in split order, so the k-th
+    split's children are nodes ``n_trees + 2k`` and the next one.
     """
     bins = _bin_columns(values)
     widths = [len(c) for c in classes]
     k = max(widths)
-    tops = [Split("", 0.0, None, None) for _ in row_sets]  # roots in left slots
-    # One (tree, parent, slot) per frontier node; the nodes' rows, and their
-    # class indices, lie back to back in ``rows`` and ``labels``.
-    frontier = [(t, top, "left") for t, top in enumerate(tops)]
+    n_trees = len(row_sets)
+    # Each row of the depth's nodes, its class index and its node in the
+    # depth; a node's tree and class counts.
     rows, labels = np.concatenate(row_sets), np.concatenate(labels)
-    sizes = np.array([len(r) for r in row_sets])
-    node_of = np.repeat(np.arange(len(sizes)), sizes)
-    counts = np.bincount(node_of * k + labels, minlength=len(sizes) * k).reshape(-1, k)
-    while frontier:
-        n_nodes = len(frontier)
-        column = np.full(n_nodes, -1)
-        threshold = np.zeros(n_nodes)
-        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-        node_widths = [widths[t] for t, _parent, _slot in frontier]
-        for lo, hi in _chunks(sizes.tolist(), node_widths, values.shape[1], len(bins[1])):
+    node_of = np.repeat(np.arange(n_trees), [len(r) for r in row_sets])
+    tree_of = np.arange(n_trees)
+    counts = np.bincount(node_of * k + labels, minlength=n_trees * k).reshape(-1, k)
+    # (feature, threshold, child, counts, tree) of each depth's nodes; a
+    # leaf's feature and threshold are cleared by _subtree.
+    depths = []
+    n_nodes = n_trees  # nodes numbered so far
+    while len(counts):
+        sizes = counts.sum(axis=1)
+        # A node of one class, or too small to split, is a leaf unsearched.
+        can_split = (counts.max(axis=1) < sizes) & (sizes >= 2 * config.min_leaf)
+        keep = can_split[node_of]
+        node_of = (np.cumsum(can_split) - 1)[node_of[keep]]  # among the searched
+        order = np.argsort(node_of, kind="stable")  # a node's rows back to back
+        rows, labels, node_of = rows[keep][order], labels[keep][order], node_of[order]
+        searched = np.flatnonzero(can_split)
+        column = np.full(len(counts), -1)
+        threshold = np.zeros(len(counts))
+        bounds = np.concatenate(([0], np.cumsum(sizes[searched]))).tolist()
+        node_widths = [widths[t] for t in tree_of[searched].tolist()]
+        chunks = _chunks(np.diff(bounds).tolist(), node_widths, values.shape[1], len(bins[1]))
+        for lo, hi in chunks:
             r = slice(bounds[lo], bounds[hi])
-            found = _search(
-                bins, rows[r], node_of[r] - lo, labels[r], counts[lo:hi, : node_widths[lo]]
-            )
-            for i, hit in enumerate(found, lo):
+            node_counts = counts[searched[lo:hi], : node_widths[lo]]
+            found = _search(bins, rows[r], node_of[r] - lo, labels[r], node_counts)
+            for i, hit in zip(searched[lo:hi].tolist(), found):
                 if hit is not None:
                     column[i], threshold[i] = hit[0], hit[1]
-        # A root may be too small to split; a deeper node that cannot split
-        # became a leaf with its parent, below, and was not searched.
-        column[sizes < 2 * config.min_leaf] = -1
-        split = column >= 0
-        if split.any():
-            # Routed by value, not by bin: a midpoint can round onto the
-            # upper value, which then goes left, as the threshold test says.
-            go_left = values[rows, column[node_of]] <= threshold[node_of]
-            # A split that sends every row left would recur at its left
-            # child forever; such a node stays a leaf.
-            split &= np.bincount(node_of[go_left], minlength=n_nodes) < sizes
-            # Node i's left child is child 2i, its right one 2i + 1. A child
-            # of one class, or too small to split, has no split to find.
-            child = 2 * node_of + ~go_left
-            keep = split[node_of]
-            children = np.bincount(
-                child[keep] * k + labels[keep], minlength=2 * n_nodes * k
-            ).reshape(-1, k)
-            child_sizes = children.sum(axis=1)
-            grows = (children.max(axis=1) < child_sizes) & (child_sizes >= 2 * config.min_leaf)
-            child_counts, child_majority = children.tolist(), children.argmax(axis=1).tolist()
-        next_frontier = []
-        for i, ((t, parent, slot), node_counts, is_split, j, cut, majority) in enumerate(
-            zip(
-                frontier, counts.tolist(), split.tolist(), column.tolist(),
-                threshold.tolist(), counts.argmax(axis=1).tolist(),
-            )
-        ):
-            node_counts = node_counts[: widths[t]]
-            if not is_split:
-                setattr(parent, slot, Leaf(classes[t][majority], node_counts))
-                continue
-            node = Split(column_names[j], cut, None, None, node_counts)
-            setattr(parent, slot, node)
-            for c, side in ((2 * i, "left"), (2 * i + 1, "right")):
-                if grows[c]:
-                    next_frontier.append((t, node, side))
-                else:
-                    leaf_counts = child_counts[c][: widths[t]]
-                    setattr(node, side, Leaf(classes[t][child_majority[c]], leaf_counts))
-        if next_frontier:
-            keep = grows[child]
-            order = np.argsort(child[keep], kind="stable")
-            rows, labels = rows[keep][order], labels[keep][order]
-            counts, sizes = children[grows], child_sizes[grows]
-            node_of = np.repeat(np.arange(len(next_frontier)), sizes)
-        frontier = next_frontier
-    return [top.left for top in tops]
+        # Routed by value, not by bin: a midpoint can round onto the upper
+        # value, which then goes left, as the threshold test says.
+        node_of = searched[node_of]
+        go_left = values[rows, column[node_of]] <= threshold[node_of]
+        # A split that sends every row left would recur at its left child
+        # forever; such a node stays a leaf.
+        split = (column >= 0) & (np.bincount(node_of[go_left], minlength=len(sizes)) < sizes)
+        rank = np.cumsum(split) - 1  # a split's index among the depth's splits
+        child = np.where(split, n_nodes + 2 * rank, -1)
+        depths.append((column, threshold, child, counts, tree_of))
+        n_split = int(split.sum())
+        n_nodes += 2 * n_split
+        # The next depth: each split's rows go to its two children.
+        keep = split[node_of]
+        node_of = 2 * rank[node_of[keep]] + ~go_left[keep]
+        rows, labels = rows[keep], labels[keep]
+        counts = np.bincount(node_of * k + labels, minlength=2 * n_split * k).reshape(-1, k)
+        tree_of = np.repeat(tree_of[split], 2)
+    feature, threshold, child, counts, tree_of = (np.concatenate(a) for a in zip(*depths))
+    return [
+        TreeModel(
+            cls, column_names, config,
+            *_subtree(tree_of == t, feature, threshold, child, counts[:, : len(cls)]),
+        )
+        for t, cls in enumerate(classes)
+    ]
 
 
 def _error_upper_bound(errors: float, n: float, z: float) -> float:
@@ -388,32 +412,31 @@ def _leaf_estimates(counts: np.ndarray, z: float) -> np.ndarray:
     return n * np.minimum(1.0, bound)
 
 
-def _prune(root: TreeNode, classes: list[object], z: float) -> TreeNode:
-    nodes = []  # pre-order, so every split comes before its descendants
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if isinstance(node, Split):
-            stack.extend((node.right, node.left))
-    counts = np.array([node.counts for node in nodes])
-    estimates = _leaf_estimates(counts, z).tolist()
-    majority = counts.argmax(axis=1).tolist()  # ties to the earlier class
-    # id of an original node -> (its replacement, estimated errors)
-    pruned = {id(node): (node, est) for node, est in zip(nodes, estimates)}
-    for i in reversed(range(len(nodes))):
-        node = nodes[i]
-        if isinstance(node, Leaf):
-            continue
-        left, left_est = pruned[id(node.left)]
-        right, right_est = pruned[id(node.right)]
-        subtree_est = left_est + right_est
-        if estimates[i] <= subtree_est + 1e-10:
-            pruned[id(node)] = Leaf(classes[majority[i]], node.counts), estimates[i]
-        else:
-            split = Split(node.feature, node.threshold, left, right, node.counts)
-            pruned[id(node)] = split, subtree_est
-    return pruned[id(root)][0]
+def _prune(model: TreeModel) -> TreeModel:
+    """Collapse every split whose estimated errors as a leaf do not exceed
+    its children's, deepest first."""
+    z = normal_quantile(1.0 - model.config.pruning_confidence)
+    estimates = _leaf_estimates(model.counts, z).tolist()
+    child = model.child.tolist()
+    # Children come after their parent, so a reverse pass meets them first.
+    # A kept split's estimate becomes its subtree's; a collapsed one's
+    # children are cut off.
+    for i in reversed(range(len(child))):
+        c = child[i]
+        if c >= 0:
+            subtree = estimates[c] + estimates[c + 1]
+            if estimates[i] <= subtree + 1e-10:
+                child[i] = -1
+            else:
+                estimates[i] = subtree
+    reached = [True] + [False] * (len(child) - 1)
+    for i, c in enumerate(child):
+        if reached[i] and c >= 0:
+            reached[c] = reached[c + 1] = True
+    arrays = (model.feature, model.threshold, np.array(child), model.counts)
+    return TreeModel(
+        model.classes, model.column_names, model.config, *_subtree(np.array(reached), *arrays)
+    )
 
 
 def train_trees(
@@ -434,14 +457,8 @@ def train_trees(
         return []
     coded = [label_codes(matrix.target[rows]) for rows in row_sets]
     labels, classes = [codes for codes, _ in coded], [cls for _, cls in coded]
-    column_names = list(matrix.column_names)
-    roots = _grow(matrix.values, labels, row_sets, classes, column_names, config)
-    if config.pruning:
-        z = normal_quantile(1.0 - config.pruning_confidence)
-        roots = [_prune(root, cls, z) for root, cls in zip(roots, classes)]
-    return [
-        TreeModel(cls, column_names, root, config) for cls, root in zip(classes, roots)
-    ]
+    models = _grow(matrix.values, labels, row_sets, classes, list(matrix.column_names), config)
+    return [_prune(model) for model in models] if config.pruning else models
 
 
 def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeModel:
@@ -449,64 +466,42 @@ def train_tree(train: FeatureMatrix, config: TreeConfig | None = None) -> TreeMo
     return train_trees(train, [np.arange(train.n_rows)], config)[0]
 
 
-def _row_reader(model: TreeModel, row):
-    """Function from a feature name to that feature's value in ``row``."""
-    if isinstance(row, Mapping):
-
-        def value(feature: str) -> float:
-            try:
-                return float(row[feature])
-            except KeyError:
-                raise PredictionError(f"row is missing feature {feature!r}") from None
-
-        return value
-    if len(row) != len(model.column_names):
+def predict_many(model: TreeModel, values) -> list[object]:
+    """Class of the leaf each row reaches; values equal to a threshold go
+    left, and a NaN goes right."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(model.column_names):
         raise PredictionError(
-            f"row has {len(row)} values, model expects {len(model.column_names)}"
+            f"rows of shape {values.shape}, model expects {len(model.column_names)} values"
         )
-    index = model._column_index
-    return lambda feature: float(row[index[feature]])
+    node = np.zeros(len(values), dtype=np.intp)
+    active = np.arange(len(values))  # rows not yet at a leaf
+    while active.size:
+        at = node[active]
+        split = model.child[at] >= 0
+        active, at = active[split], at[split]
+        right = ~(values[active, model.feature[at]] <= model.threshold[at])
+        node[active] = model.child[at] + right
+    majority = model.counts.argmax(axis=1)
+    return [model.classes[i] for i in majority[node].tolist()]
 
 
 def predict_tree(model: TreeModel, row) -> object:
-    """Class of the leaf reached; values equal to a threshold go left."""
-    node = model.root
-    if isinstance(node, Split):
-        value = _row_reader(model, row)
-        while isinstance(node, Split):
-            node = node.left if value(node.feature) <= node.threshold else node.right
-    return node.label
-
-
-def predict_many(model: TreeModel, values: np.ndarray) -> list[object]:
-    # Python floats read and compare faster than numpy scalars, node by node.
-    return [predict_tree(model, row) for row in np.asarray(values).tolist()]
+    """``predict_many`` of one row: a sequence of values, or a mapping that
+    names every column."""
+    if isinstance(row, Mapping):
+        missing = [name for name in model.column_names if name not in row]
+        if missing:
+            raise PredictionError(f"row is missing feature {missing[0]!r}")
+        row = [row[name] for name in model.column_names]
+    return predict_many(model, [row])[0]
 
 
 def _label_to_json(label) -> str:
     return label.value if isinstance(label, PerformanceCategory) else str(label)
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"class": _label_to_json(node.label), "counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
-
-
-def _node_from_json(doc: dict, labels: dict) -> TreeNode:
-    if "class" in doc:
-        return Leaf(labels[doc["class"]], list(doc["counts"]))
-    return Split(
-        doc["feature"],
-        float(doc["threshold"]),
-        _node_from_json(doc["left"], labels),
-        _node_from_json(doc["right"], labels),
-    )
+_NODE_ARRAYS = ("feature", "threshold", "child", "counts")
 
 
 def to_json(model: TreeModel) -> str:
@@ -514,7 +509,8 @@ def to_json(model: TreeModel) -> str:
         "classes": [_label_to_json(c) for c in model.classes],
         "categorical": all(isinstance(c, PerformanceCategory) for c in model.classes),
         "columns": list(model.column_names),
-        "root": _node_to_json(model.root),
+        "config": asdict(model.config),
+        **{name: getattr(model, name).tolist() for name in _NODE_ARRAYS},
     }
     return json.dumps(doc, indent=2)
 
@@ -525,5 +521,7 @@ def from_json(text: str) -> TreeModel:
         labels = {c.value: c for c in PerformanceCategory}
     else:
         labels = {c: c for c in doc["classes"]}
-    classes = [labels[c] for c in doc["classes"]]
-    return TreeModel(classes, list(doc["columns"]), _node_from_json(doc["root"], labels))
+    return TreeModel(
+        [labels[c] for c in doc["classes"]], list(doc["columns"]), TreeConfig(**doc["config"]),
+        *(np.array(doc[name]) for name in _NODE_ARRAYS),
+    )

@@ -504,8 +504,17 @@ def test_timeline_value_that_does_not_parse_names_its_line(tmp_path, old, new, l
 def test_timeline_maximum_that_is_not_positive_and_finite_is_rejected(tmp_path, maximum):
     cfg = tmp_path / "timeline.cfg"
     cfg.write_text(TIMELINE_CFG.replace("midterm_max=110", f"midterm_max={maximum}"))
-    with pytest.raises(ConfigError, match="exam maxima must be positive"):
+    with pytest.raises(ParseError, match=r"timeline\.cfg:4: .*exam maxima must be positive"):
         timeline_from_file(cfg)
+
+
+@pytest.mark.parametrize("midterm", ["2016-12-15T09:00:00Z", "2017-01-01T00:00:00Z"])
+def test_timeline_midterm_on_or_after_the_final_names_the_final_date_line(tmp_path, midterm):
+    cfg = tmp_path / "timeline.cfg"
+    cfg.write_text(TIMELINE_CFG.replace("2016-10-24T12:00:00Z", midterm))
+    with pytest.raises(ParseError, match=r"timeline\.cfg:2: .*midterm_date must precede") as err:
+        timeline_from_file(cfg)
+    assert err.value.line_no == 2
 
 
 def test_timeline_file_that_is_not_utf8_names_the_line(tmp_path):
@@ -574,7 +583,8 @@ def timeline_lines(draw, key=None):
 
 def expected_timeline(models, bad_byte_line):
     """The CourseTimeline of the lines' values, or the error's type and its
-    line (for a ParseError) or the missing keys (for a ConfigError)."""
+    line (for a ParseError, a refused value's too) or the missing keys (for
+    a ConfigError)."""
     if bad_byte_line is not None:
         return ParseError, bad_byte_line
     values = {}  # a repeated key's last value wins
@@ -590,10 +600,17 @@ def expected_timeline(models, bad_byte_line):
         line_no, value = values[key]
         if value is BAD:
             return ParseError, line_no
-    try:
-        return CourseTimeline(**{key: values[key][1] for key in TIMELINE_KEYS})
-    except ConfigError:
-        return ConfigError, []
+    # A refused value names its key's line; dates out of order, the final's.
+    value = {key: values[key][1] for key in TIMELINE_KEYS}
+    refused = [
+        ("final_date", value["midterm_date"] >= value["final_date"]),
+        ("midterm_max", not 0 < value["midterm_max"] < math.inf),
+        ("final_max", not 0 < value["final_max"] < math.inf),
+    ]
+    for key, is_refused in refused:
+        if is_refused:
+            return ParseError, values[key][0]
+    return CourseTimeline(**value)
 
 
 @settings(deadline=None)

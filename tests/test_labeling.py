@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradecast
 from gradecast.errors import ConfigError
 from gradecast.features import FeatureMatrix
 from gradecast.labeling import (
@@ -227,3 +232,35 @@ def test_label_codes_equal_class_order_and_a_per_row_index(data):
     if missing:
         with pytest.raises(ConfigError, match=f"label {missing[0]} is not one of the classes"):
             label_codes([*labels, missing[0]], [c for c in pool if c in labels])
+
+
+# Labels whose strings collide, '1' and 1, and a small tree trained on them.
+HASH_SEED_SCRIPT = """
+import numpy as np
+from gradecast.features import FeatureMatrix
+from gradecast.labeling import class_order
+from gradecast.tree import TreeConfig, to_json, train_tree
+
+labels = ['1', 1, 'a', 'b', 1, 'b', '1', 1]
+print(class_order(labels))
+m = FeatureMatrix(
+    [f's{i}' for i in range(8)], ['x'], np.arange(8.0)[:, None], np.array(labels, dtype=object)
+)
+print(to_json(train_tree(m, TreeConfig(min_leaf=1, pruning=False))))
+"""
+
+
+def test_class_order_and_tree_json_do_not_depend_on_the_hash_seed():
+    env = {**os.environ, "PYTHONPATH": str(Path(gradecast.__file__).resolve().parents[1])}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "5")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("[1, '1', 'a', 'b']\n")
