@@ -338,15 +338,16 @@ def _grow(
         # A node of one class, or too small to split, is a leaf unsearched.
         can_split = (counts.max(axis=1) < sizes) & (sizes >= 2 * config.min_leaf)
         keep = can_split[node_of]
-        node_of = (np.cumsum(can_split) - 1)[node_of[keep]]  # among the searched
+        node_of = (can_split.cumsum() - 1)[node_of[keep]]  # among the searched
         order = np.argsort(node_of, kind="stable")  # a node's rows back to back
         rows, labels, node_of = rows[keep][order], labels[keep][order], node_of[order]
-        searched = np.flatnonzero(can_split)
+        searched = can_split.nonzero()[0]
         column = np.full(len(counts), -1)
         threshold = np.zeros(len(counts))
-        bounds = np.concatenate(([0], np.cumsum(sizes[searched]))).tolist()
+        node_sizes = sizes[searched]
+        bounds = np.concatenate(([0], node_sizes.cumsum())).tolist()
         node_widths = [widths[t] for t in tree_of[searched].tolist()]
-        chunks = _chunks(np.diff(bounds).tolist(), node_widths, values.shape[1], len(bins[1]))
+        chunks = _chunks(node_sizes.tolist(), node_widths, values.shape[1], len(bins[1]))
         for lo, hi in chunks:
             r = slice(bounds[lo], bounds[hi])
             node_counts = counts[searched[lo:hi], : node_widths[lo]]
@@ -361,17 +362,16 @@ def _grow(
         # A split that sends every row left would recur at its left child
         # forever; such a node stays a leaf.
         split = (column >= 0) & (np.bincount(node_of[go_left], minlength=len(sizes)) < sizes)
-        rank = np.cumsum(split) - 1  # a split's index among the depth's splits
+        rank = split.cumsum() - 1  # a split's index among the depth's splits
         child = np.where(split, n_nodes + 2 * rank, -1)
         depths.append((column, threshold, child, counts, tree_of))
-        n_split = int(split.sum())
-        n_nodes += 2 * n_split
         # The next depth: each split's rows go to its two children.
+        tree_of = np.repeat(tree_of[split], 2)
+        n_nodes += len(tree_of)
         keep = split[node_of]
         node_of = 2 * rank[node_of[keep]] + ~go_left[keep]
         rows, labels = rows[keep], labels[keep]
-        counts = np.bincount(node_of * k + labels, minlength=2 * n_split * k).reshape(-1, k)
-        tree_of = np.repeat(tree_of[split], 2)
+        counts = np.bincount(node_of * k + labels, minlength=len(tree_of) * k).reshape(-1, k)
     feature, threshold, child, counts, tree_of = (np.concatenate(a) for a in zip(*depths))
     return [
         TreeModel(
