@@ -14,16 +14,20 @@ one list of strings per required field. A submissions file has two readers:
 * A plain file is read as bytes, in a few numpy passes and without a Python
   string per field. Plain means: after an optional BOM every byte is ASCII
   and none is a quote, CR or NUL; every non-blank line has as many commas
-  as the header; no line is longer than ``csv.field_size_limit()``; and
-  every outcome byte is ``P``, ``F`` or ``C``. Blank lines are skipped and
-  the last line may lack its newline, as with ``csv.reader``. One pass finds
-  the line ends and one the commas, which bound every field. The
-  ``student_id`` and ``task_id`` fields are gathered into byte strings and
-  sorted by ``np.unique``, so each distinct id is decoded once, in whatever
-  order the rows come; the outcome bytes are masked out into one buffer,
-  and the timestamps gathered into one block.
-* Any other file, such as one with a quoted field or CRLF line ends, is
-  read by ``csv.reader``, the only reader of quoted fields.
+  as the header; no line is longer than ``csv.field_size_limit()``; every
+  outcome byte is ``P``, ``F`` or ``C``; and every ``submitted_at`` is
+  ``YYYY-MM-DDTHH:MM:SSZ`` with its fields in range (year 0000 is out, as
+  ``datetime`` refuses it). Blank lines are skipped and the last line may
+  lack its newline, as with ``csv.reader``. One pass finds the line ends and
+  one the commas, which bound every field. The ``student_id`` and
+  ``task_id`` fields are gathered into byte strings and sorted by
+  ``np.unique``, so each distinct id is decoded once, in whatever order the
+  rows come; the outcome bytes are masked out into one buffer. The times
+  form one (rows, 20) byte block: a few array comparisons check its digits
+  and separators, and numpy parses its first 19 columns.
+* Any other file, such as one with a quoted field, CRLF line ends or a time
+  with an offset, is read by ``csv.reader``, the only reader of quoted
+  fields; each time text is parsed by ``parse_timestamp``.
 
 Both readers give ``Dataset`` the same columns: each id column as a list
 of ids with each row's place in it, the times, the outcome bytes back to
@@ -33,13 +37,6 @@ inside quoted fields; only that row's text is decoded for the message, and
 its line is found only when the error is raised, by reading the file again
 up to the row. A byte that is not UTF-8 raises a ParseError naming its
 physical line.
-
-Submission times are parsed as one block when every text has the plain
-``YYYY-MM-DDTHH:MM:SSZ`` form: the texts form an (n, 20) byte array, its
-digits and separators are checked in a few array comparisons (year 0000 is
-refused, as ``datetime`` refuses it), and numpy parses the first 19
-columns. A column with any other form, or a field out of range, is parsed
-text by text with ``parse_timestamp``.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -173,7 +170,8 @@ class LoadReport:
 
 class TaskRows(NamedTuple):
     """One task's rows, by student then time, and its runs, one per student
-    with rows, by student code: views into a Dataset's columns."""
+    with rows, by student code: views into a Dataset's columns. A student's
+    code is their place in ``Dataset.student_ids``."""
 
     time_us: np.ndarray
     passed: np.ndarray
@@ -183,23 +181,6 @@ class TaskRows(NamedTuple):
     run_first: np.ndarray  # each run's first row
     run_count: np.ndarray  # each run's number of rows
     run_best: np.ndarray  # each run's best row: most passes, then latest
-
-    def of_student(self, code: int) -> "TaskRows":
-        """The rows of the student with this code, as code 0: one run, or none."""
-        k = int(np.searchsorted(self.run_student, code))
-        m = int(k < len(self.run_student) and self.run_student[k] == code)
-        lo = int(self.run_first[k]) if m else 0
-        hi = lo + (int(self.run_count[k]) if m else 0)
-        return TaskRows(
-            self.time_us[lo:hi],
-            self.passed[lo:hi],
-            self.outcomes[lo:hi],
-            self.deadline_us,
-            np.zeros(m, dtype=np.int64),
-            np.zeros(m, dtype=np.int64),
-            self.run_count[k : k + m],
-            self.run_best[k : k + m] - lo,
-        )
 
 
 class _Rows(NamedTuple):
@@ -272,6 +253,13 @@ class Dataset:
             if g.student_id in grades_by_id:
                 raise ConfigError(f"duplicate grade row for student {g.student_id}")
             grades_by_id[g.student_id] = g
+            # The grades file's rule: a given grade lies in [0, the exam's maximum].
+            for exam in ("midterm", "final"):
+                value, maximum = g.exam(exam), timeline.exam_max(exam)
+                if value is not None and not 0 <= value <= maximum:
+                    raise ConfigError(
+                        f"student {g.student_id}: {exam} grade {value} outside [0, {maximum}]"
+                    )
 
         retained = {
             sid: g
@@ -394,16 +382,19 @@ class Dataset:
     def has_task(self, task_id: str) -> bool:
         return task_id in self._task_index
 
-    def task_rows(self, task_id: str, student_id: str | None = None) -> TaskRows:
-        """The task's rows; or one student's (none if not retained), as code 0."""
-        rows = self._rows[self._task_code(task_id)]
-        return rows if student_id is None else rows.of_student(self._codes.get(student_id, -1))
+    def task_rows(self, task_id: str) -> TaskRows:
+        return self._rows[self._task_code(task_id)]
 
     def submissions(self, student_id: str, task_id: str) -> list[SubmissionRecord]:
-        """The student's submissions to the task, oldest first."""
-        rows = self.task_rows(task_id, student_id)
-        times = [_EPOCH + us * _MICROSECOND for us in rows.time_us.tolist()]
-        results = [tuple(map(Outcome, chars.tobytes().decode())) for chars in rows.outcomes]
+        """The student's submissions to the task, oldest first: their run."""
+        rows = self.task_rows(task_id)
+        code = self._codes.get(student_id, -1)
+        k = int(np.searchsorted(rows.run_student, code))
+        if k == len(rows.run_student) or rows.run_student[k] != code:
+            return []
+        run = slice(rows.run_first[k], rows.run_first[k] + rows.run_count[k])
+        times = [_EPOCH + us * _MICROSECOND for us in rows.time_us[run].tolist()]
+        results = [tuple(map(Outcome, chars.tobytes().decode())) for chars in rows.outcomes[run]]
         return [SubmissionRecord(student_id, task_id, *pair) for pair in zip(times, results)]
 
 
@@ -436,19 +427,6 @@ def _parsed_us(text: str) -> int:
         return _epoch_us(parse_timestamp(text))
     except ValueError:
         return _NO_TIME
-
-
-def _epoch_us_column(texts: list[str]) -> np.ndarray:
-    """``_parsed_us`` of each text; a column that is all in the plain
-    ``YYYY-MM-DDTHH:MM:SSZ`` form is checked and parsed as one byte block."""
-    n = len(texts)
-    if n and min(map(len, texts)) == max(map(len, texts)) == 20:
-        # "replace" keeps one byte per character, so each text is one row.
-        block = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
-        parsed = _epoch_us_block(block.reshape(n, 20))
-        if parsed is not None:
-            return parsed
-    return np.array([_parsed_us(t) for t in texts], dtype=np.int64)
 
 
 def _epoch_us_block(block: np.ndarray) -> np.ndarray | None:
@@ -552,8 +530,12 @@ def _row_line(path, i: int) -> int:
 
 def _read_tasks(path) -> list[TaskSpec]:
     tasks = []
+    seen: set[str] = set()
     columns = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
     for i, (task_id, assignment_id, deadline, testcase_ids) in enumerate(zip(*columns)):
+        if task_id in seen:
+            raise ParseError(path, _row_line(path, i), f"duplicate task_id {task_id}")
+        seen.add(task_id)
         try:
             when = parse_timestamp(deadline)
         except ValueError:
@@ -581,12 +563,14 @@ def _csv_rows(path) -> _Rows:
     """The submissions file's rows as ``csv.reader`` reads them."""
     students, tasks, times, outcomes = _read_rows(path, _SUBMISSION_FIELDS)
     outcomes = list(map(str.strip, outcomes))
-    return _text_rows(students, tasks, _epoch_us_column(times), outcomes, path, times)
+    time_us = np.fromiter(map(_parsed_us, times), np.int64, len(times))
+    return _text_rows(students, tasks, time_us, outcomes, path, times)
 
 
 def _plain_rows(path, raw: bytes) -> _Rows | None:
     """The rows of a plain submissions file, read from its bytes ``raw`` in
-    a few array passes; None if the file is not plain."""
+    a few array passes; None if the file is not plain, a time of another
+    form or out of range included."""
     body = raw[len(codecs.BOM_UTF8) :] if raw.startswith(codecs.BOM_UTF8) else raw
     data = np.frombuffer(body, np.uint8)
     if data.max(initial=0) > 127 or any((data == byte).any() for byte in b'"\r\0'):
@@ -618,7 +602,7 @@ def _plain_rows(path, raw: bytes) -> _Rows | None:
         return None
     time_us = _epoch_us_block(_gather_rows(data, w_lo, 20)) if (w_hi - w_lo == 20).all() else None
     if time_us is None:
-        time_us = _epoch_us_column(_decoded(body, w_lo, w_hi))
+        return None
     student_ids, student_index = _distinct(data, s_lo, s_hi)
     task_ids, task_index = _distinct(data, t_lo, t_hi)
 
@@ -635,11 +619,6 @@ def _inside(size: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     from ``lo`` up to ``hi``."""
     spans = np.diff(np.stack((lo, hi), axis=1).ravel(), prepend=0, append=size)
     return np.repeat(np.arange(len(spans)) % 2 == 1, spans)
-
-
-def _decoded(body: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
-    """The texts of the spans from ``lo`` up to ``hi`` of ASCII bytes."""
-    return [body[a:b].decode("ascii") for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _distinct(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -18,14 +18,16 @@ from gradecast.dataset import (
     timeline_from_file,
     _counts_at,
     _csv_rows,
-    _epoch_us_column,
+    _epoch_us_block,
     _parsed_us,
     _plain_rows,
     _read_rows,
+    _read_submissions,
     _row_line,
     _Rows,
 )
 from gradecast.errors import ConfigError, GradecastError, ParseError, ReferentialError
+from gradecast.features import FAMILIES, FeatureConfig, build_feature_matrix
 
 from conftest import FINAL, MIDTERM, hours_before, make_task, make_timeline, sub, ts
 
@@ -151,6 +153,12 @@ def test_tasks_error_names_the_physical_line(tmp_path):
     with pytest.raises(ParseError, match=r"tasks\.csv:7: bad timestamp 'yesterday'") as err:
         load(write_inputs(tmp_path, tasks=tasks))
     assert err.value.line_no == 7
+    # A second row for t2, after the same blank line and quoted field.
+    (tmp_path / "duplicate").mkdir()
+    duplicate = tasks.replace("t5,a1,yesterday,", "t2,a1,2016-10-14T18:00:00Z,")
+    with pytest.raises(ParseError, match=r"tasks\.csv:7: duplicate task_id t2") as err:
+        load(write_inputs(tmp_path / "duplicate", tasks=duplicate))
+    assert err.value.line_no == 7
 
 
 def test_submissions_error_names_the_physical_line(tmp_path):
@@ -216,9 +224,12 @@ def test_tasks_before_orders_by_deadline_then_id():
 
 def best_row(dataset, student_id, task_id):
     """The submission the run index marks as the student's best; None if none."""
-    best = dataset.task_rows(task_id, student_id).run_best  # the one run, if any
+    rows = dataset.task_rows(task_id)
     records = dataset.submissions(student_id, task_id)
-    return records[int(best[0])] if len(best) else None
+    for k, code in enumerate(rows.run_student.tolist()):
+        if dataset.student_ids[code] == student_id:
+            return records[int(rows.run_best[k] - rows.run_first[k])]
+    return None
 
 
 def test_best_submission_prefers_passes_then_latest(small_dataset):
@@ -276,11 +287,10 @@ def test_run_index_of_tasks_without_rows_and_of_excluded_students():
     assert runs(ds.task_rows("t1")) == none  # only an excluded student's row
     assert runs(ds.task_rows("t2")) == (2, [1], [0], [2], [0], (2, 2))
     assert runs(ds.task_rows("t3")) == none
-    # A student's rows are their one run, as student code 0.
-    assert runs(ds.task_rows("t2", "s2")) == (2, [0], [0], [2], [0], (2, 2))
-    assert ds.task_rows("t2", "s2").outcomes.tobytes() == b"PPPF"
+    # A student's submissions are their one run.
+    assert [s.passed_count for s in ds.submissions("s2", "t2")] == [2, 1]
     for task, student in [("t0", "s2"), ("t1", "gone"), ("t3", "s1"), ("t2", "nobody")]:
-        assert runs(ds.task_rows(task, student)) == none
+        assert ds.submissions(student, task) == []
         assert best_row(ds, student, task) is None
     assert best_row(ds, "s1", "t0").submitted_at == hours_before(d, 2.0)
 
@@ -291,7 +301,7 @@ def test_run_index_of_tasks_without_rows_and_of_excluded_students():
     ):
         for task in tasks:
             assert runs(empty.task_rows(task.task_id)) == none
-            assert runs(empty.task_rows(task.task_id, "s1")) == none
+            assert empty.submissions("s1", task.task_id) == []
 
 
 def test_timeline_from_file(tmp_path):
@@ -397,7 +407,8 @@ def test_excluded_students_with_equal_timestamps_are_not_duplicates(tmp_path):
 
 
 def test_timestamp_forms_load_to_the_same_instants(tmp_path):
-    # The plain "...Z" form is parsed as one column; any other form row by row.
+    # The plain "...Z" form is parsed as one block by the byte reader; a file
+    # with any other form is read by csv.reader, which parses row by row.
     offsets = SUBMISSIONS_CSV.replace("T10:00:00Z", "T12:00:00.000000+02:00")
     offsets = offsets.replace("T17:00:00Z", " 17:00:00+00:00").replace("T12:00:00Z", "T12:00Z")
     datasets = []
@@ -438,6 +449,17 @@ def test_records_are_validated_like_file_rows():
     for records, error, text in cases:
         with pytest.raises(error, match=text):
             Dataset(tasks, make_timeline(), records, grades)
+
+
+@pytest.mark.parametrize("grade", [math.nan, -5.0, 500.0, math.inf])
+@pytest.mark.parametrize("exam", ["midterm", "final"])
+def test_grade_records_follow_the_grades_file_rule(grade, exam):
+    # As in a grades file, a given grade must lie in [0, the exam's maximum]:
+    # 110 for the midterm and 120 for the final here.
+    exams = {"midterm": 60.0, "final": 60.0, exam: grade}
+    grades = [GradeRecord("s1", 60.0, 60.0), GradeRecord("s2", **exams)]
+    with pytest.raises(ConfigError, match=f"student s2: {exam} grade"):
+        Dataset([make_task("t1", "a0", MIDTERM, 2)], make_timeline(), [], grades)
 
 
 def test_submissions_are_rebuilt_from_columns_oldest_first(small_dataset):
@@ -771,6 +793,14 @@ NEAR_MISSES = {
     "sign in the year": lambda s: "-" + s[1:],
     "arabic-indic digit": lambda s: s[:3] + "٣" + s[4:],
 }
+# The near misses that keep a stamp's 20 characters: only the block can tell.
+BLOCK_MISSES = [k for k, miss in NEAR_MISSES.items() if len(miss("2016-10-03T10:00:00Z")) == 20]
+
+
+def time_block(texts):
+    """The (n, 20) byte block of 20-character texts; "replace" keeps one byte
+    per character."""
+    return np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8).reshape(-1, 20)
 
 
 @settings(deadline=None, max_examples=300)
@@ -780,7 +810,7 @@ NEAR_MISSES = {
         min_size=1,
         max_size=20,
     ),
-    miss=st.sampled_from([None, *NEAR_MISSES]),
+    miss=st.sampled_from([None, *BLOCK_MISSES]),
     where=st.integers(0, 19),
 )
 def test_one_block_timestamps_equal_the_text_by_text_parse(stamps, miss, where):
@@ -788,12 +818,25 @@ def test_one_block_timestamps_equal_the_text_by_text_parse(stamps, miss, where):
     if miss is not None:
         i = where % len(texts)
         texts[i] = NEAR_MISSES[miss](texts[i])
-    assert _epoch_us_column(texts).tolist() == [_parsed_us(t) for t in texts]
+    parsed = _epoch_us_block(time_block(texts))
+    if miss is None:
+        assert parsed.tolist() == [_parsed_us(t) for t in texts]
+    else:
+        assert parsed is None
 
 
 def test_one_block_timestamps_of_an_empty_column():
-    assert _epoch_us_column([]).dtype == np.int64
-    assert len(_epoch_us_column([])) == 0
+    assert _epoch_us_block(time_block([])).dtype == np.int64
+    assert len(_epoch_us_block(time_block([]))) == 0
+
+
+@pytest.mark.parametrize("miss", sorted(NEAR_MISSES))
+def test_a_time_of_another_form_sends_the_file_to_csv_reader(tmp_path, miss):
+    text = NEAR_MISSES[miss]("2016-10-03T10:00:00Z")
+    path = tmp_path / "submissions.csv"
+    path.write_text(f"{SUBMISSIONS_CSV}s1,t3,{text},PP\n", encoding="utf-8")
+    assert _plain_rows(path, path.read_bytes()) is None
+    assert _csv_rows(path).time_us[-1] == _parsed_us(text)
 
 
 # ------------------------------------------------ whole input files
@@ -877,19 +920,35 @@ def dataset_fields(ds: Dataset):
     return ds.student_ids, ds.report, ds.tasks, ds.grades, ds.midterm.tolist(), rows
 
 
+def property_dataset(rows) -> Dataset:
+    """The Dataset of the property's course with these submission rows."""
+    tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
+    grades = [GradeRecord(s, *exams) for s, exams in PROPERTY_GRADES.items()]
+    return Dataset(tasks, make_timeline(), rows, grades)
+
+
 def dataset_or_error(read):
     """The fields of the Dataset of ``read()``'s rows and the property's
     course, or the type and message of the error raised; None if ``read``
     gives no rows."""
-    tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
-    grades = [GradeRecord(s, *exams) for s, exams in PROPERTY_GRADES.items()]
     try:
         rows = read()
         if rows is None:
             return None
-        return dataset_fields(Dataset(tasks, make_timeline(), rows, grades))
+        return dataset_fields(property_dataset(rows))
     except GradecastError as err:
         return type(err), str(err)
+
+
+def is_plain_stamp(text: str) -> bool:
+    """Whether the text is YYYY-MM-DDTHH:MM:SSZ with its fields in range."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text):
+        return False
+    try:
+        datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return False
+    return True
 
 
 @settings(deadline=None)
@@ -939,6 +998,7 @@ def test_loaders_return_a_dataset_or_a_typed_error_naming_the_line(
         raw = raw[:-2] + b"\xff" + raw[-2:]
     # Without rows, only a line end can make the file not plain.
     plain_file = fallback is None or not (table or "\r" in text)
+    plain_file &= all(is_plain_stamp(row["submitted_at"]) for row in rows)
 
     grade_rows = [[s, *grades[2 * i : 2 * i + 2]] for i, s in enumerate(PROPERTY_GRADES)]
     task_rows = [
@@ -974,6 +1034,70 @@ def test_loaders_return_a_dataset_or_a_typed_error_naming_the_line(
     assert (plain is not None) == plain_file
     if plain is not None:
         assert plain == dataset_or_error(lambda: _csv_rows(path))
+
+
+@st.composite
+def good_submission_rows(draw):
+    """Rows of the property's course that load: distinct (student, task,
+    time) keys, times that often tie across students and tasks, and
+    outcomes of the task's width."""
+    keys = st.tuples(
+        st.sampled_from([*PROPERTY_GRADES]),
+        st.sampled_from([*PROPERTY_TASKS]),
+        st.integers(1, 31),
+        st.integers(0, 2),
+    )
+    rows = []
+    for student, task, day, hour in draw(st.lists(keys, unique=True, max_size=16)):
+        width = PROPERTY_TASKS[task]
+        outcomes = st.one_of(st.text("PF", min_size=width, max_size=width), st.just("C" * width))
+        stamp = f"2016-10-{day:02d}T{hour:02d}:00:00Z"
+        fields = [student, task, stamp, draw(outcomes)]
+        rows.append(dict(zip(["student_id", "task_id", "submitted_at", "outcomes"], fields)))
+    return rows
+
+
+def dataset_and_matrices(path):
+    """The fields of the submissions file's Dataset in the property's course,
+    and its matrix of every feature family for both exams."""
+    ds = property_dataset(_read_submissions(path))
+    config = FeatureConfig(tuple(PROPERTY_TASKS))
+    matrices = [
+        build_feature_matrix(ds, family, config, exam)
+        for family in FAMILIES
+        for exam in ("midterm", "final")
+    ]
+    return dataset_fields(ds), [
+        (m.student_ids, m.column_names, m.values.tolist(), m.target.tolist()) for m in matrices
+    ]
+
+
+@settings(deadline=None)
+@given(
+    rows=good_submission_rows(),
+    header=st.permutations(["student_id", "task_id", "submitted_at", "outcomes"]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_line_order_and_line_ends_leave_the_dataset_and_matrices_unchanged(
+    tmp_path_factory, rows, header, shuffle
+):
+    # The same lines shuffled and sorted by time are read by the byte
+    # reader too; the CRLF copy goes through csv.reader.
+    copies = {
+        "given": (rows, "\n"),
+        "shuffled": (shuffle.sample(rows, len(rows)), "\n"),
+        "by_time": (sorted(rows, key=itemgetter("submitted_at")), "\n"),
+        "crlf": (rows, "\r\n"),
+    }
+    directory = tmp_path_factory.mktemp("order")
+    loaded = []
+    for name, (lines, end) in copies.items():
+        path = directory / f"{name}.csv"
+        table = [[row[c] for c in header] for row in lines]
+        path.write_bytes(csv_text(header, table, end, [], True).encode())
+        assert (_plain_rows(path, path.read_bytes()) is None) == (name == "crlf")
+        loaded.append(dataset_and_matrices(path))
+    assert all(other == loaded[0] for other in loaded[1:])
 
 
 @given(st.lists(st.integers(0, 4), max_size=12), st.data())

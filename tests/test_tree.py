@@ -15,6 +15,7 @@ from gradecast.tree import (
     Leaf,
     Split,
     TreeConfig,
+    TreeModel,
     _best_split_arrays,
     _leaf_estimate,
     entropy,
@@ -352,6 +353,29 @@ def reference_prune(root, classes, z):
             split = Split(node.feature, node.threshold, left, right, node.counts)
             pruned[id(node)] = split, left_est + right_est
     return result(root)[0]
+
+
+@pytest.mark.parametrize(
+    "as_leaf, collapses", [(2.0, True), (2.0 + 5e-11, True), (2.0 + 1e-9, False)]
+)
+def test_pruning_collapses_a_split_whose_estimate_ties_its_children_within_1e_10(
+    monkeypatch, as_leaf, collapses
+):
+    # A root split over two leaves whose estimates sum to 2.0: a tie, or an
+    # excess within the 1e-10 tolerance, collapses it; a larger excess keeps it.
+    model = TreeModel(
+        [PP, GP],
+        ["f0"],
+        TreeConfig(),
+        feature=np.array([0, -1, -1]),
+        threshold=np.array([0.5, 0.0, 0.0]),
+        child=np.array([1, -1, -1]),
+        counts=np.array([[2, 2], [2, 0], [0, 2]]),
+    )
+    estimates = np.array([as_leaf, 1.0, 1.0])
+    monkeypatch.setattr(tree_module, "_leaf_estimates", lambda counts, z: estimates)
+    kept = Split("f0", 0.5, Leaf(PP, [2, 0]), Leaf(GP, [0, 2]), [2, 2])
+    assert tree_module._prune(model).root == (Leaf(PP, [2, 2]) if collapses else kept)
 
 
 def reference_train_tree(train, config):
