@@ -177,8 +177,9 @@ def cross_validate(
     two stacks of equal shape. ``regress.fold_predictions`` fits each stack
     with one QR and one solve, and each stack's error statistics are axis
     reductions: the report equals, bit for bit, that of a loop calling
-    ``fit_least_squares`` per fold, and a fold that cannot be fitted raises
-    that loop's error.
+    ``fit_least_squares`` per fold. ``regress._factor`` raises that loop's
+    error when a fold cannot be fitted: too few rows, a NaN or infinite
+    target, or a rank-deficient training design.
     """
     from . import regress, tree  # late import to keep module deps one-way
 

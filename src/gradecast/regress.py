@@ -10,10 +10,13 @@ factors. A slope no larger than the rounding error of the residuals is
 taken as 0, so lambda = 1 exactly and the refit is the identity fit.
 Predictions invert the transform and are clamped to the valid grade range.
 
-Cross-validation fits come as stacks of equal-shape problems, one per fold
-of a size (``fold_predictions``): one stacked QR and one stacked solve
-give, item for item, the coefficients ``fit_least_squares`` gives, because
-numpy runs the same LAPACK and BLAS calls on each item of a stack.
+Every fit factors a stack of equal-shape problems in ``_factor``, the one
+place that decides whether least squares can run and raises when it cannot:
+``fit_least_squares`` and ``fit_transformed`` factor a stack of one,
+cross-validation one stack per fold size (``fold_predictions``). One stacked
+QR and one stacked solve give, item for item, the coefficients
+``fit_least_squares`` gives, because numpy runs the same LAPACK and BLAS
+calls on each item of a stack.
 """
 
 from __future__ import annotations
@@ -102,40 +105,39 @@ def _qr(design: np.ndarray):
 
 
 def fit_least_squares(X, y, columns=None) -> RegressionModel:
-    """Ordinary least squares via QR; raises on rank-deficient designs."""
+    """Ordinary least squares via QR: ``_factor`` of a stack of one, so it
+    raises TrainingError on too few rows or a NaN or infinite input, and
+    SingularityError on a rank-deficient design."""
     y = np.asarray(y, dtype=float)
     design = _design(X)
-    n, p_plus_1 = design.shape
-    p = p_plus_1 - 1
-    if len(y) != n:
-        raise TrainingError("X and y have different row counts")
-    if n <= p + 1:
-        raise TrainingError(f"need n > p + 1 rows (n={n}, p={p})")
-    q, r, bad = _qr(design)
-    if bad.any():
-        labels = _column_labels(p, columns)
-        raise SingularityError([labels[i] for i in np.nonzero(bad)[0]])
-    return _fit(design, q, r, y, columns)
+    q, r = _factor(design[None], y[None], columns)
+    return _fit(design, q[0], r[0], y, columns)
 
 
-def _factor(X: np.ndarray, y: np.ndarray, columns):
-    """Designs, Q and R of a stack of problems, X (k, n, p) and y (k, n).
+def _factor(design: np.ndarray, y: np.ndarray, columns):
+    """Q and R of a stack of designs (k, n, p + 1) with targets y (k, n).
 
-    When an item cannot be fitted, ``fit_least_squares`` is called on the
-    first such item: it raises the error a loop over the items would, under
-    its own name.
+    The one check of whether least squares can run. Too few rows, or a y
+    that does not match the designs, raise TrainingError for every item.
+    Otherwise the first item in stack order that cannot be fitted raises:
+    TrainingError when its design or target holds a NaN or infinity, else
+    SingularityError naming its rank-deficient columns.
     """
-    design = _design(X)
     k, n, p_plus_1 = design.shape
-    first = 0  # a row-count error is every item's, so the first's
-    if y.shape == (k, n) and n > p_plus_1:
-        q, r, bad = _qr(design)
-        failing = np.flatnonzero(bad.any(axis=1))
-        if not failing.size:
-            return design, q, r
-        first = failing[0]
-    fit_least_squares(X[first], y[first], columns)
-    raise AssertionError(f"fit_least_squares accepted item {first}, which the stacked QR rejects")
+    if y.shape != (k, n):
+        raise TrainingError("X and y have different row counts")
+    if n <= p_plus_1:
+        raise TrainingError(f"need n > p + 1 rows (n={n}, p={p_plus_1 - 1})")
+    finite = np.isfinite(design).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    usable = k if finite.all() else int(np.argmin(finite))
+    q, r, bad = _qr(design[:usable])
+    singular = np.flatnonzero(bad.any(axis=1))
+    if singular.size:
+        labels = _column_labels(p_plus_1 - 1, columns)
+        raise SingularityError([labels[i] for i in np.flatnonzero(bad[singular[0]])])
+    if usable < k:
+        raise TrainingError("X or y holds a NaN or an infinity")
+    return q, r
 
 
 def _fit(design, q, r, y, columns, f_test: bool = True) -> RegressionModel:
@@ -179,11 +181,12 @@ def fold_predictions(X, y, train, test, columns=None) -> np.ndarray:
     Row i is ``fit_least_squares(X[train[i]], y[train[i]], columns)``
     applied to ``X[test[i]]``, bit for bit, for index arrays ``train``
     (k, n_train) and ``test`` (k, n_test). The k fits are one stacked QR and
-    one stacked solve. Raises what a loop over the fits would raise first.
+    one stacked solve. ``_factor`` raises the error of the first fold that
+    cannot be fitted, as a loop over the fits would.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)[train]
-    _, q, r = _factor(X[train], y, columns)
+    q, r = _factor(_design(X[train]), y, columns)
     # b as (k, n, 1): numpy 1.x and 2.x both read it as a stack of columns.
     beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y[..., None])
     return (_design(X[test]) @ beta)[..., 0]
@@ -244,19 +247,16 @@ def fit_transformed(X, y, offset: float = 1.0, columns=None) -> RegressionModel:
     """Two-pass fit: identity on the shifted target, then on its suggested power.
 
     Both fits, and the leverage the power is read from, share one QR of the
-    design. A power under which the target's sum of squares overflows
+    design. A target + offset that is not positive raises ValueError; a
+    design or shifted target that cannot be fitted raises what ``_factor``
+    raises. A power under which the target's sum of squares overflows
     raises TrainingError before the refit.
     """
-    y = np.asarray(y, dtype=float)
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    shifted = y + offset
-    if np.any(shifted <= 0):
-        raise ValueError("target + offset must be positive for the power transform")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    design, q, r = (a[0] for a in _factor(X[None], shifted[None], columns))
+    shifted = PowerTransform(offset=offset).apply(y)
+    design = _design(X)
+    q, r = (a[0] for a in _factor(design[None], shifted[None], columns))
     first = _fit(design, q, r, shifted, columns, f_test=False)
     lam = suggest_power(first, _diagnostics(first, design, q, shifted))
     transform = PowerTransform(lam, offset)

@@ -25,28 +25,34 @@ def confusion_text(cm: ConfusionMatrix) -> str:
     return "\n".join(lines)
 
 
+def _grid(rows: list[list[str]]) -> str:
+    """Rows of cells as lines: the first column left-justified, the others
+    right-justified, each to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        row[0].ljust(widths[0])
+        + "  "
+        + "  ".join(cell.rjust(w) for cell, w in zip(row[1:], widths[1:]))
+        for row in rows
+    )
+
+
 def metrics_table_text(rows: list[tuple[str, ClassMetrics]]) -> str:
     """Per-model metric table for one class (precision first, then recall,
     F-measure and FP rate)."""
-    name_width = max([len("model"), *(len(n) for n, _ in rows)])
-    header = (
-        f"{'model'.ljust(name_width)}  precision  recall  f_measure  fp_rate"
+    return _grid(
+        [
+            ["model", "precision", "recall", "f_measure", "fp_rate"],
+            *(
+                [name, *map(fmt_metric, (m.precision, m.recall, m.f_measure, m.fp_rate))]
+                for name, m in rows
+            ),
+        ]
     )
-    lines = [header]
-    for name, m in rows:
-        lines.append(
-            f"{name.ljust(name_width)}  "
-            f"{fmt_metric(m.precision).rjust(9)}  "
-            f"{fmt_metric(m.recall).rjust(6)}  "
-            f"{fmt_metric(m.f_measure).rjust(9)}  "
-            f"{fmt_metric(m.fp_rate).rjust(7)}"
-        )
-    return "\n".join(lines)
 
 
 def assignment_table_text(rows: list[dict]) -> str:
     """Per-assignment correlation table; one column per assignment."""
-    labels = [str(r["assignment_id"]) for r in rows]
     cells = {
         "number of sub tasks": [
             "-" if r["n_tasks"] is None else str(r["n_tasks"]) for r in rows
@@ -55,22 +61,8 @@ def assignment_table_text(rows: list[dict]) -> str:
         "mean absolute error": [fmt_metric(r["mae"]) for r in rows],
         "root mean squared error": [fmt_metric(r["rmse"]) for r in rows],
     }
-    row_width = max(len(k) for k in cells)
-    col_widths = [
-        max(len(labels[i]), *(len(v[i]) for v in cells.values())) for i in range(len(rows))
-    ]
-    lines = [
-        "assignment".ljust(row_width)
-        + "  "
-        + "  ".join(lab.rjust(w) for lab, w in zip(labels, col_widths))
-    ]
-    for key, values in cells.items():
-        lines.append(
-            key.ljust(row_width)
-            + "  "
-            + "  ".join(v.rjust(w) for v, w in zip(values, col_widths))
-        )
-    return "\n".join(lines)
+    header = ["assignment", *(str(r["assignment_id"]) for r in rows)]
+    return _grid([header, *([key, *values] for key, values in cells.items())])
 
 
 def regression_report_text(report: RegressionReport) -> str:

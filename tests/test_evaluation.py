@@ -313,8 +313,8 @@ def reference_error_stats(actual, predicted):
 
 
 def reference_regression_cv(matrix, k, seed):
-    """cross_validate(matrix, "regression", k, seed) as a loop calling
-    fit_least_squares on one fold at a time (frozen from the unstacked code)."""
+    """cross_validate(matrix, "regression", k, seed) as a frozen loop that
+    calls fit_least_squares on one fold at a time."""
     per_fold = []
     for fold in fold_indices(matrix.n_rows, k, seed):
         train = np.ones(matrix.n_rows, dtype=bool)
@@ -363,6 +363,10 @@ def test_stacked_regression_cv_equals_the_per_fold_loop(data):
     if sparse is not None:
         x[rng.permutation(n)[sparse:], -1] = 0.0
     y = np.round(x @ rng.normal(size=p) + rng.normal(scale=3.0, size=n), int(rng.integers(0, 3)))
+    # A NaN target fails every fold that trains on it: the first failing
+    # fold may still be an earlier, singular one.
+    if data.draw(st.sampled_from([False, False, False, True]), label="a NaN target"):
+        y[rng.integers(n)] = np.nan
     m = FeatureMatrix([f"s{i}" for i in range(n)], [f"c{j}" for j in range(p)], x, y, "grade")
     expected = outcome(lambda: reference_regression_cv(m, k, seed))
     event(expected[0].__name__ if isinstance(expected, tuple) else "fitted")
@@ -410,3 +414,13 @@ def test_regression_cv_with_too_few_training_rows_raises_training_error():
     expected = outcome(lambda: reference_regression_cv(m, 3, 0))
     assert expected[0] is TrainingError
     assert outcome(lambda: cross_validate(m, "regression", k=3, seed=0)) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_regression_cv_with_a_non_finite_target_raises_training_error(bad):
+    m = numeric_matrix()
+    target = m.target.copy()
+    target[3] = bad
+    m = FeatureMatrix(m.student_ids, m.column_names, m.values, target, "g")
+    with pytest.raises(TrainingError, match="NaN or an infinity"):
+        cross_validate(m, "regression", k=3, seed=0)

@@ -13,6 +13,7 @@ from gradecast.regress import (
     diagnostics,
     fit_least_squares,
     fit_transformed,
+    fold_predictions,
     predict_grade,
     predict_grades,
     suggest_power,
@@ -113,6 +114,56 @@ def test_null_pvalues_are_roughly_uniform():
         if model.fit_stats.p_value < 0.05:
             hits += 1
     assert 0.01 * runs <= hits <= 0.12 * runs
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_a_non_finite_input_is_a_training_error(bad, where):
+    rng = np.random.default_rng(6)
+    X = rng.uniform(1.0, 10.0, size=(12, 2))
+    y = X @ [2.0, 3.0] + rng.normal(size=12) + 20.0
+    if where == "X":
+        X[4, 1] = bad
+    else:
+        y[4] = bad
+    with pytest.raises(TrainingError, match="NaN or an infinity"):
+        fit_least_squares(X, y)
+    # Row 4 is in every fold's training rows but fold 2's.
+    test = np.arange(12).reshape(6, 2)
+    train = np.stack([np.setdiff1d(np.arange(12), rows) for rows in test])
+    with pytest.raises(TrainingError, match="NaN or an infinity"):
+        fold_predictions(X, y, train, test)
+    if where == "y" and bad < 0:
+        with pytest.raises(ValueError, match="target \\+ offset > 0"):
+            fit_transformed(X, y)
+    else:
+        with pytest.raises(TrainingError, match="NaN or an infinity"):
+            fit_transformed(X, y)
+
+
+def test_fold_predictions_raise_the_first_failing_folds_error():
+    # Column "a" is nonzero on row 0 only and the target is NaN on row 1, so
+    # a fold that tests rows 0 and 1 has a singular but finite training
+    # design, and every other fold trains on the NaN.
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(12, 2))
+    X[1:, 0] = 0.0
+    y = rng.normal(size=12)
+    y[1] = math.nan
+    singular, non_finite, both = [0, 1], [2, 3], [0, 2]
+
+    def first_error(*tests):
+        test = np.array(tests)
+        train = np.stack([np.setdiff1d(np.arange(12), rows) for rows in test])
+        with pytest.raises((SingularityError, TrainingError)) as err:
+            fold_predictions(X, y, train, test, ["a", "b"])
+        return err.value
+
+    err = first_error(singular, non_finite)
+    assert isinstance(err, SingularityError) and err.columns == ["a"]
+    assert type(first_error(non_finite, singular)) is TrainingError
+    # An item both non-finite and singular fails its finiteness test first.
+    assert type(first_error(both, singular)) is TrainingError
 
 
 # -------------------------------------------------------------- diagnostics
