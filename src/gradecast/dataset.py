@@ -19,10 +19,11 @@ one list of strings per required field. A submissions file has two readers:
   ``YYYY-MM-DDTHH:MM:SSZ`` with its fields in range (year 0000 is out, as
   ``datetime`` refuses it). Blank lines are skipped and the last line may
   lack its newline, as with ``csv.reader``. One pass finds the line ends and
-  one the commas, which bound every field. The ``student_id`` and
-  ``task_id`` fields are gathered into byte strings and sorted by
-  ``np.unique``, so each distinct id is decoded once, in whatever order the
-  rows come; the outcome bytes are masked out into one buffer. The times
+  one the commas, which bound every field. Each ``student_id`` and
+  ``task_id`` field is read as big-endian 8-byte words, NUL past its end,
+  so that integer order is byte order; one ``np.lexsort`` of the words
+  codes the distinct ids, and each is decoded once, in whatever order the
+  rows come. The outcome bytes are masked out into one buffer. The times
   form one (rows, 20) byte block: a few array comparisons check its digits
   and separators, and numpy parses its first 19 columns.
 * Any other file, such as one with a quoted field, CRLF line ends or a time
@@ -42,8 +43,11 @@ Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
 
 A Dataset keeps the retained submissions as columns sorted by (task,
-student, time): ``time_us`` is int64 microseconds since the epoch, exact for
-any datetime, sub-second ones included; ``passed`` counts ``P`` outcomes;
+student, time), in one stable argsort of one int64 key: the (task, student)
+pair's code times the number of distinct times, plus the time's dense rank;
+rows with equal keys are duplicates. ``time_us`` is int64 microseconds
+since the epoch, exact for any datetime, sub-second ones included;
+``passed`` counts ``P`` outcomes;
 ``outcomes`` holds a task's outcome characters as one (rows,
 testcase_count) uint8 block, gathered row by row from the readers' buffer.
 File rows and records go through one validator, which raises the error of
@@ -80,11 +84,14 @@ from .errors import ConfigError, ParseError, ReferentialError
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _NO_TIME = np.iinfo(np.int64).min  # a timestamp that did not parse
+_YEAR_ONE_US = (datetime(1, 1, 1, tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
 # The one timestamp form numpy parses exactly as parse_timestamp does,
 # YYYY-MM-DDTHH:MM:SSZ: where its digits and its separators sit.
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _SEPARATORS = [4, 7, 10, 13, 16, 19]
 _SEPARATOR_BYTES = np.frombuffer(b"--T::Z", np.uint8)
+# _LEADING_BYTES[k] keeps the first k bytes of a big-endian 8-byte word.
+_LEADING_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
 
 
 class Outcome(Enum):
@@ -295,20 +302,21 @@ class Dataset:
         widths = np.array([t.testcase_count for t in self.tasks] + [-1])  # -1: unknown task
         lengths = rows.lengths
         starts = np.cumsum(lengths) - lengths
-        passed, failed, compiled = (
-            _counts_at(rows.outcomes == ord(c), starts, lengths) for c in "PFC"
+        passed, compiled = (_counts_at(rows.outcomes == ord(c), starts, lengths) for c in "PC")
+        # A byte that is none of P, F and C lies in the last row starting at
+        # or before it.
+        odd = np.flatnonzero(
+            (rows.outcomes != ord("P")) & (rows.outcomes != ord("F")) & (rows.outcomes != ord("C"))
         )
-        # Stable: the later row of an equal (task, student, time) pair is flagged.
-        order = np.lexsort((rows.time_us, student, task))
-        keys = np.stack([task, student, rows.time_us])[:, order]
-        duplicate = np.zeros(n, dtype=bool)
-        duplicate[order[1:][(np.diff(keys) == 0).all(axis=0)]] = True
+        bad_character = np.zeros(n, dtype=bool)
+        bad_character[np.searchsorted(starts, odd, side="right") - 1] = True
+        order, duplicate = self._order(task, student, rows.time_us)
         # Message -> rows failing; on one row the first listed wins.
         checks = {
             "unknown task_id {task!r}": task < 0,
             "unknown student_id {student!r}": student == -1,
             "bad timestamp {time!r}": rows.time_us == _NO_TIME,
-            "bad outcome character {bad!r}": passed + failed + compiled < lengths,
+            "bad outcome character {bad!r}": bad_character,
             "compile_error must apply to every testcase of a submission": (compiled > 0)
             & (compiled < lengths),
             "{length} outcomes for task {task} with {width} testcases": lengths != widths[task],
@@ -333,6 +341,32 @@ class Dataset:
         self._rows = self._task_views(*columns, rows.outcomes, starts[keep])
         self.report.submissions_read = n
         self.report.submissions_dropped = n - len(keep)
+
+    def _order(self, task, student, time_us) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' order by (task, student, time), and a flag on each row
+        whose three equal an earlier row's.
+
+        One int64 key sorts as the three do: the (task, student) pair's code
+        times the number of distinct times, plus the time's dense rank. Task
+        codes run from -1 (unknown) up to the tasks, student codes from
+        -1 - (excluded students) up to the retained ones, so the key is below
+        (tasks + 1) * (students + 1) * (distinct times), students counting
+        the retained and the excluded. Past 2**63 - 1 that raises
+        ConfigError; the key never wraps.
+        """
+        times, rank = np.unique(time_us, return_inverse=True)
+        excluded = len(self._codes) - len(self.student_ids)
+        students = len(self._codes) + 1
+        if (len(self.tasks) + 1) * students * len(times) > np.iinfo(np.int64).max:
+            raise ConfigError(f"{len(time_us)} submissions are too many to order")
+        pair = (task + 1) * students + (student + 1 + excluded)
+        key = pair * len(times) + rank
+        # Stable: the later row of an equal (task, student, time) is flagged.
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        duplicate = np.zeros(len(key), dtype=bool)
+        duplicate[order[1:][ranked[1:] == ranked[:-1]]] = True
+        return order, duplicate
 
     def _task_views(self, task, student, time_us, passed, chars, starts) -> list[TaskRows]:
         """Each task's ``TaskRows`` over the sorted rows' columns, given with
@@ -436,13 +470,14 @@ def _epoch_us_block(block: np.ndarray) -> np.ndarray | None:
     if (
         (block[:, _DIGITS] - np.uint8(ord("0")) < 10).all()
         and (block[:, _SEPARATORS] == _SEPARATOR_BYTES).all()
-        and (block[:, :4] != ord("0")).any(axis=1).all()
     ):
         stamps = np.ascontiguousarray(block[:, :19]).view("S19").ravel()
         try:
-            return stamps.astype("datetime64[us]").view(np.int64)
+            time_us = stamps.astype("datetime64[us]").view(np.int64)
         except ValueError:  # a field out of range
-            pass
+            return None
+        if (time_us >= _YEAR_ONE_US).all():  # numpy reads year 0000 too
+            return time_us
     return None
 
 
@@ -623,15 +658,27 @@ def _inside(size: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _distinct(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct texts of the spans from ``lo`` up to ``hi`` of the ASCII
-    bytes ``data``, and each span's place among them."""
+    bytes ``data``, sorted, and each span's place among them."""
     length = hi - lo
-    width = int(length.max(initial=0)) or 1
-    block = _gather_rows(np.append(data, np.zeros(width, np.uint8)), lo, width)
+    width = -(-int(length.max(initial=0)) // 8) * 8 or 8
+    padded = np.append(data, np.zeros(width, np.uint8))
+    # The 8 bytes from each offset of ``padded`` as one big-endian word, so
+    # integer order is byte order; each span is read as width / 8 words.
+    at = np.ndarray((len(padded) - 7,), ">u8", padded, strides=(1,))
+    offsets = np.arange(0, width, 8)
+    words = at[lo[:, None] + offsets].astype(np.uint64)
+    del padded, at  # a copy of the whole file: freed before the sort
     # Bytes past a span's end become NUL, which a plain file never holds,
-    # so equal byte strings are equal texts.
-    block = np.where(np.arange(width) < length[:, None], block, np.uint8(0))
-    keys, index = np.unique(block.view(f"S{width}").ravel(), return_inverse=True)
-    return [key.decode("ascii") for key in keys.tolist()], index.ravel()
+    # so equal words are equal texts.
+    words &= _LEADING_BYTES[np.clip(length[:, None] - offsets, 0, 8)]
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    keys = ranked[new].astype(">u8").view(f"S{width}").ravel()
+    return [key.decode("ascii") for key in keys.tolist()], index
 
 
 def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float | None:

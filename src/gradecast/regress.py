@@ -216,19 +216,23 @@ def _diagnostics(model: RegressionModel, design, q, y) -> Diagnostics:
 def suggest_power(model: RegressionModel, diag: Diagnostics) -> float:
     """Suggested transformation power: one minus the spread-level slope.
 
+    The slope is read over the rows with a positive fitted value and a
+    finite, nonzero studentized residual; as in ``car::spreadLevelPlot``,
+    rows fitted at or below 0, which have no log, are left out. Fewer than
+    3 such rows raise ValueError.
+
     A slope no larger than the rounding error of the residuals is taken as 0,
     so lambda = 1 exactly. Each residual y - fitted carries a relative error
     up to delta_i = eps * (|y_i| + fitted_i) / |residual_i| from cancellation,
     which moves the slope by at most ||delta|| / ||centred log fitted||.
     """
-    if np.any(diag.fitted <= 0):
-        raise ValueError(
-            "suggest_power requires all fitted values > 0; raise the offset first"
-        )
     magnitude = np.abs(diag.studentized)
-    keep = np.isfinite(magnitude) & (magnitude > 0)
+    keep = np.isfinite(magnitude) & (magnitude > 0) & (diag.fitted > 0)
     if keep.sum() < 3:
-        raise ValueError("not enough spread in the residuals to suggest a power")
+        raise ValueError(
+            "fewer than 3 rows with a positive fitted value and a nonzero residual"
+            " to suggest a power from"
+        )
     lx = np.log(diag.fitted[keep])
     ly = np.log(magnitude[keep])
     lx_c = lx - lx.mean()
@@ -247,7 +251,10 @@ def fit_transformed(X, y, offset: float = 1.0, columns=None) -> RegressionModel:
     """Two-pass fit: identity on the shifted target, then on its suggested power.
 
     Both fits, and the leverage the power is read from, share one QR of the
-    design. A target + offset that is not positive raises ValueError; a
+    design. The power is read from the first fit's rows with a positive
+    fitted value (``suggest_power``), so a first fit that extrapolates below
+    0 on some rows still gets a power; fewer than 3 usable rows raise
+    ValueError. A target + offset that is not positive raises ValueError; a
     design or shifted target that cannot be fitted raises what ``_factor``
     raises. A power under which the target's sum of squares overflows
     raises TrainingError before the refit.

@@ -4,6 +4,8 @@ import math
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -348,6 +350,12 @@ BAD_ROWS = {
     "no_such_day": ("s1,t3,2015-02-29T10:00:00Z,PP", ParseError, "bad timestamp"),
     "year_zero": ("s1,t3,0000-01-01T10:00:00Z,PP", ParseError, "bad timestamp"),
     "bad_character": ("s1,t3,2016-10-03T10:02:00Z,PX", ParseError, "bad outcome character 'X'"),
+    "bad_first_character": (
+        "s1,t3,2016-10-03T10:05:00Z,XP",
+        ParseError,
+        "bad outcome character 'X'",
+    ),
+    "no_outcomes": ("s1,t3,2016-10-03T10:06:00Z,", ParseError, "0 outcomes for task t3"),
     "wrong_count": ("s1,t3,2016-10-03T10:03:00Z,PPP", ParseError, "3 outcomes"),
     "mixed_compile_error": ("s1,t3,2016-10-03T10:04:00Z,PC", ParseError, "compile_error"),
     "duplicate": ("s1,t1,2016-10-01T10:00:00Z,PPPPF", ParseError, "duplicate"),
@@ -1148,3 +1156,195 @@ def test_a_quoted_field_is_read_by_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr("gradecast.dataset.csv.reader", recording_reader(None, calls))
     assert dataset_fields(load(paths)) == expected
     assert "submissions.csv" in calls
+
+
+# ------------------------------------------------ id codes and row order
+
+
+SUBMISSION_HEADER = ["student_id", "task_id", "submitted_at", "outcomes"]
+# Plain-file bytes from both ends of ASCII, so byte order is tested too.
+ID_ALPHABET = " !-.09AZ_az~"
+
+
+@st.composite
+def course_ids(draw):
+    """Distinct ids of 1-24 bytes; many share an 8- or 16-byte prefix and
+    differ only after it."""
+    prefix = draw(st.text(ID_ALPHABET, min_size=8, max_size=16))
+    shared = st.builds(
+        lambda k, tail: (prefix[:k] + tail)[:24] or prefix[:1],
+        st.sampled_from([8, 16, len(prefix)]),
+        st.text(ID_ALPHABET, max_size=9),
+    )
+    any_id = st.text(ID_ALPHABET, min_size=1, max_size=24)
+    return draw(st.lists(st.one_of(shared, any_id), min_size=1, max_size=8, unique=True))
+
+
+@settings(deadline=None)
+@given(students=course_ids(), tasks=course_ids(), data=st.data())
+def test_byte_reader_codes_ids_as_csv_reader_reads_them(tmp_path_factory, students, tasks, data):
+    # The course registers a prefix of each id list, so rows may name
+    # unknown ids; each row has its own minute, so no row is a duplicate.
+    known_students = students[: data.draw(st.integers(1, len(students)))]
+    known_tasks = tasks[: data.draw(st.integers(1, len(tasks)))]
+    results = st.text("PF", min_size=2, max_size=2)
+    picks = st.tuples(st.sampled_from(students), st.sampled_from(tasks), results)
+    table = [
+        [student, task, f"2016-10-03T10:{minute:02d}:00Z", outcomes]
+        for minute, (student, task, outcomes) in enumerate(data.draw(st.lists(picks, max_size=40)))
+    ]
+    path = tmp_path_factory.mktemp("ids") / "submissions.csv"
+    raw = csv_text(SUBMISSION_HEADER, table, "\n", [], True).encode()
+    path.write_bytes(raw)
+
+    rows = _plain_rows(path, raw)
+    assert rows is not None
+    for ids, index, column in zip((rows.student_ids, rows.task_ids), rows.id_index, (0, 1)):
+        assert ids == sorted({row[column] for row in table})
+        assert [ids[i] for i in index] == [row[column] for row in table]
+
+    def course(read):
+        def build():
+            task_specs = [make_task(t, "a0", ts(PROPERTY_DEADLINE), 2) for t in known_tasks]
+            grades = [GradeRecord(s, 60.0, 70.0) for s in known_students]
+            return dataset_fields(Dataset(task_specs, make_timeline(), read(), grades))
+
+        try:
+            return build()
+        except GradecastError as err:
+            return type(err), str(err)
+
+    assert course(lambda: _plain_rows(path, raw)) == course(lambda: _csv_rows(path))
+
+
+def frozen_order(task, student, time_us):
+    """The row order and duplicate flags of the three-key sort that the one
+    int64 key replaced."""
+    order = np.lexsort((time_us, student, task))
+    keys = np.stack([task, student, time_us])[:, order]
+    duplicate = np.zeros(len(task), dtype=bool)
+    duplicate[order[1:][(np.diff(keys) == 0).all(axis=0)]] = True
+    return order, duplicate
+
+
+# Three students excluded, so that excluded students' codes run past -2.
+ORDER_GRADES = {**PROPERTY_GRADES, "s4444": (None, 50.0), "s55555": (None, None)}
+
+
+@settings(deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(
+            st.sampled_from([*ORDER_GRADES, "ghost"]),
+            st.sampled_from([*PROPERTY_TASKS, "t9"]),
+            # Few times, so rows often tie; "yesterday" does not parse.
+            st.sampled_from(["2016-10-03T10:00:00Z", "2016-10-03T09:00:00Z", "yesterday"]),
+            st.sampled_from(["PP", "PFP", "CCC"]),
+        ),
+        max_size=24,
+    ),
+)
+def test_row_order_and_duplicates_equal_the_three_key_sort(tmp_path_factory, picks):
+    path = tmp_path_factory.mktemp("order") / "submissions.csv"
+    path.write_text(csv_text(SUBMISSION_HEADER, [list(p) for p in picks], "\n", [], True))
+    rows = _read_submissions(path)
+    calls = []
+    real = Dataset._order
+
+    def recording(self, task, student, time_us):
+        calls.append(((task, student, time_us), real(self, task, student, time_us)))
+        return calls[-1][1]
+
+    def dataset_or_error():
+        tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
+        grades = [GradeRecord(s, *exams) for s, exams in ORDER_GRADES.items()]
+        try:
+            return dataset_fields(Dataset(tasks, make_timeline(), rows, grades))
+        except GradecastError as err:
+            return type(err), str(err)
+
+    with patch.object(Dataset, "_order", recording):
+        loaded = dataset_or_error()
+    (codes, (order, duplicate)), = calls
+    expected_order, expected_duplicate = frozen_order(*codes)
+    assert order.tolist() == expected_order.tolist()
+    assert duplicate.tolist() == expected_duplicate.tolist()
+    # The same Dataset, or the same first error, row and message included.
+    with patch.object(Dataset, "_order", lambda self, *codes: frozen_order(*codes)):
+        assert loaded == dataset_or_error()
+
+
+def test_a_row_order_key_past_int64_is_a_config_error():
+    # (tasks + 1) * (students + 1) * (distinct times) must stay below 2**63;
+    # ranges stand in for a course that large.
+    huge = SimpleNamespace(tasks=range(2**31), _codes=range(2**31), student_ids=range(2**30))
+    codes = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ConfigError, match="too many to order"):
+        Dataset._order(huge, codes, codes, np.arange(4, dtype=np.int64))
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _lines_with_starts(lines, end, blanks):
+    """The text of the lines, each followed by ``end`` and its blank lines,
+    and the physical line on which each line starts."""
+    text, starts = "", []
+    for line, blank in zip(lines, blanks):
+        starts.append(physical_lines(text.encode()))
+        text += line + end * (1 + blank)
+    return text, starts
+
+
+spanning_text = st.builds(
+    "".join, st.lists(st.sampled_from(["a", " ", ",", '"', "\n", "\r\n", "\r", "é"]), max_size=6)
+)
+
+
+@settings(deadline=None)
+@given(
+    assignments=st.lists(spanning_text, min_size=2, max_size=2),
+    notes=st.lists(spanning_text, min_size=3, max_size=3),
+    note_first=st.booleans(),
+    bad_task=st.one_of(st.none(), st.integers(0, 1)),
+    bad_grade=st.one_of(st.none(), st.integers(0, 2)),
+    end=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+def test_quoted_fields_over_several_lines_in_tasks_and_grades(
+    tmp_path_factory, assignments, notes, note_first, bad_task, bad_grade, end, blanks
+):
+    task_lines = ["task_id,assignment_id,deadline,testcase_ids"]
+    for i, ((task, width), assignment) in enumerate(zip(PROPERTY_TASKS.items(), assignments)):
+        deadline = "soon" if i == bad_task else PROPERTY_DEADLINE
+        testcases = ";".join(f"tc{k}" for k in range(width))
+        task_lines.append(",".join([task, _quoted(assignment), deadline, testcases]))
+    grade_rows = [["note", "student_id", "midterm", "final"]]
+    for i, (student, (midterm, final)) in enumerate(PROPERTY_GRADES.items()):
+        midterm = "x" if i == bad_grade else str(midterm)
+        final = "" if final is None else str(final)
+        grade_rows.append([_quoted(notes[i]), student, midterm, final])
+    # The note column, which holds each row's quoted field, comes first or last.
+    grade_lines = [",".join(row if note_first else row[1:] + row[:1]) for row in grade_rows]
+    tasks_text, task_starts = _lines_with_starts(task_lines, end, blanks)
+    grades_text, grade_starts = _lines_with_starts(grade_lines, end, blanks[::-1])
+
+    directory = tmp_path_factory.mktemp("spanning")
+    submissions = "student_id,task_id,submitted_at,outcomes\ns1,t1,2016-10-03T10:00:00Z,PFP\n"
+    paths = write_inputs(directory, submissions=submissions)
+    paths["tasks"].write_bytes(tasks_text.encode())
+    paths["grades"].write_bytes(grades_text.encode())
+    if bad_task is not None:
+        expected = (paths["tasks"], task_starts[1 + bad_task], "bad timestamp 'soon'")
+    elif bad_grade is not None:
+        expected = (paths["grades"], grade_starts[1 + bad_grade], "bad midterm grade 'x'")
+    else:
+        ds = load(paths)
+        assert [t.assignment_id for t in ds.tasks] == assignments
+        assert ds.student_ids == ("s1", "s22")
+        return
+    with pytest.raises(ParseError) as err:
+        load(paths)
+    assert (Path(err.value.path), err.value.line_no) == expected[:2]
+    assert str(err.value).endswith(expected[2])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradecast.errors import PredictionError, SingularityError, TrainingError
 from gradecast.regress import (
+    Diagnostics,
     FitStats,
     PowerTransform,
     RegressionModel,
@@ -239,14 +240,46 @@ def test_zero_residuals_is_a_domain_error():
         suggest_power(model, diag)
 
 
-def test_nonpositive_fitted_is_a_domain_error():
+def _rows_of(diag, rows):
+    columns = diag.fitted, diag.residuals, diag.leverage, diag.studentized
+    return Diagnostics(*(column[rows] for column in columns))
+
+
+def test_nonpositive_fitted_rows_are_left_out_of_the_power():
+    # as car::spreadLevelPlot does: the slope is read over the rows fitted above 0
     x = np.arange(-5.0, 5.0).reshape(-1, 1)
     y = x[:, 0] * 3.0 + np.sin(x[:, 0])
     model = fit_least_squares(x, y)
     diag = diagnostics(model, x, y)
-    assert np.any(diag.fitted <= 0)
-    with pytest.raises(ValueError):
+    positive = diag.fitted > 0
+    assert 3 <= positive.sum() < len(x)
+    assert suggest_power(model, diag) == suggest_power(model, _rows_of(diag, positive))
+
+
+def test_under_three_positive_fitted_rows_is_a_domain_error():
+    x = np.arange(-5.0, 5.0).reshape(-1, 1)
+    y = x[:, 0] * 3.0 - 8.0 + np.sin(x[:, 0])
+    model = fit_least_squares(x, y)
+    diag = diagnostics(model, x, y)
+    assert 0 < (diag.fitted > 0).sum() < 3
+    with pytest.raises(ValueError, match="fewer than 3 rows"):
         suggest_power(model, diag)
+
+
+def test_fit_transformed_reads_its_power_from_the_positive_first_fit():
+    # grades near 0 for low x and steep growth: the first line extrapolates
+    # below 0 at the low end, where the target + offset is still positive
+    x = np.arange(10.0).reshape(-1, 1)
+    y = np.array([0.0, 0.5, 0.0, 1.0, 3.0, 6.0, 12.0, 20.0, 35.0, 50.0])
+    first = fit_least_squares(x, y + 1.0)
+    diag = diagnostics(first, x, y + 1.0)
+    positive = diag.fitted > 0
+    assert 3 <= positive.sum() < len(x)
+    model = fit_transformed(x, y, offset=1.0)
+    assert model.transform.lam == pytest.approx(
+        suggest_power(first, _rows_of(diag, positive)), rel=1e-9
+    )
+    assert np.isfinite(model.coefficients).all()
 
 
 # ---------------------------------------------------------- transformed fit
