@@ -928,22 +928,24 @@ def dataset_fields(ds: Dataset):
     return ds.student_ids, ds.report, ds.tasks, ds.grades, ds.midterm.tolist(), rows
 
 
-def property_dataset(rows) -> Dataset:
-    """The Dataset of the property's course with these submission rows."""
-    tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
-    grades = [GradeRecord(s, *exams) for s, exams in PROPERTY_GRADES.items()]
+def property_dataset(rows, tasks=PROPERTY_TASKS, grades=PROPERTY_GRADES) -> Dataset:
+    """The Dataset of the property's course, or of the course of ``tasks``
+    (id -> testcase count) and ``grades`` (id -> exams), with these
+    submission rows."""
+    tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in tasks.items()]
+    grades = [GradeRecord(s, *exams) for s, exams in grades.items()]
     return Dataset(tasks, make_timeline(), rows, grades)
 
 
-def dataset_or_error(read):
+def dataset_or_error(read, **course):
     """The fields of the Dataset of ``read()``'s rows and the property's
-    course, or the type and message of the error raised; None if ``read``
-    gives no rows."""
+    course (or ``property_dataset``'s ``course``), or the type and message
+    of the error raised; None if ``read`` gives no rows."""
     try:
         rows = read()
         if rows is None:
             return None
-        return dataset_fields(property_dataset(rows))
+        return dataset_fields(property_dataset(rows, **course))
     except GradecastError as err:
         return type(err), str(err)
 
@@ -1203,18 +1205,12 @@ def test_byte_reader_codes_ids_as_csv_reader_reads_them(tmp_path_factory, studen
         assert ids == sorted({row[column] for row in table})
         assert [ids[i] for i in index] == [row[column] for row in table]
 
-    def course(read):
-        def build():
-            task_specs = [make_task(t, "a0", ts(PROPERTY_DEADLINE), 2) for t in known_tasks]
-            grades = [GradeRecord(s, 60.0, 70.0) for s in known_students]
-            return dataset_fields(Dataset(task_specs, make_timeline(), read(), grades))
-
-        try:
-            return build()
-        except GradecastError as err:
-            return type(err), str(err)
-
-    assert course(lambda: _plain_rows(path, raw)) == course(lambda: _csv_rows(path))
+    course = {
+        "tasks": dict.fromkeys(known_tasks, 2),
+        "grades": dict.fromkeys(known_students, (60.0, 70.0)),
+    }
+    plain = dataset_or_error(lambda: _plain_rows(path, raw), **course)
+    assert plain == dataset_or_error(lambda: _csv_rows(path), **course)
 
 
 def frozen_order(task, student, time_us):
@@ -1255,23 +1251,15 @@ def test_row_order_and_duplicates_equal_the_three_key_sort(tmp_path_factory, pic
         calls.append(((task, student, time_us), real(self, task, student, time_us)))
         return calls[-1][1]
 
-    def dataset_or_error():
-        tasks = [make_task(t, "a0", ts(PROPERTY_DEADLINE), w) for t, w in PROPERTY_TASKS.items()]
-        grades = [GradeRecord(s, *exams) for s, exams in ORDER_GRADES.items()]
-        try:
-            return dataset_fields(Dataset(tasks, make_timeline(), rows, grades))
-        except GradecastError as err:
-            return type(err), str(err)
-
     with patch.object(Dataset, "_order", recording):
-        loaded = dataset_or_error()
+        loaded = dataset_or_error(lambda: rows, grades=ORDER_GRADES)
     (codes, (order, duplicate)), = calls
     expected_order, expected_duplicate = frozen_order(*codes)
     assert order.tolist() == expected_order.tolist()
     assert duplicate.tolist() == expected_duplicate.tolist()
     # The same Dataset, or the same first error, row and message included.
     with patch.object(Dataset, "_order", lambda self, *codes: frozen_order(*codes)):
-        assert loaded == dataset_or_error()
+        assert loaded == dataset_or_error(lambda: rows, grades=ORDER_GRADES)
 
 
 def test_a_row_order_key_past_int64_is_a_config_error():
