@@ -20,16 +20,18 @@ is its one-set case. Each column is binned once per call by its own sorted
 distinct values, so the occupied bins of a node are exactly the node's
 distinct values: the class histogram of SLIQ and SPRINT, with exact bins.
 The trees grow together, one depth at a time: one ``bincount`` gives the
-(node, bin, class) histogram of a batch of frontier nodes, over only the
-bins the batch occupies, and integer cumulative sums along each node's bins
-give every candidate's left class counts. Gains and ratios use the same
-elementwise formulas as a one-node search, so every value is bit-identical.
-Only nodes that can split are searched: a node of one class, or with fewer
-than ``2 * min_leaf`` rows, is a leaf.
-A depth is searched in batches of nodes whose cells (rows x columns) and
-histogram (nodes x occupied bins x classes) each stay within
-``_CHUNK_CELLS``, which bounds the search's memory on wide matrices; a node
-too large for that is searched alone.
+(class, node, bin) histogram of a batch of frontier nodes, and integer
+cumulative sums along each node's bins give every candidate's left class
+counts. The histogram spans all the matrix's bins, unless that would make it
+larger than the batch's cells (rows x columns); then it spans only the bins
+the batch occupies. Gains and ratios use the same elementwise formulas as a
+one-node search, so every value is bit-identical. Only nodes that can split
+are searched: a node of one class, or with fewer than ``2 * min_leaf`` rows,
+is a leaf. A depth is searched in batches of nodes whose cells and histogram
+each stay within ``_CHUNK_CELLS``, which bounds the search's memory on wide
+matrices; a node too large for that is searched alone. Counts do not depend
+on row order, so rows are regrouped node by node only when a depth has more
+than one batch.
 
 The tie rule is the one a threshold-by-threshold scan applies: the
 scan-order displacement test runs per node, on the candidates whose ratio
@@ -47,6 +49,7 @@ operations, so the estimates are bit-identical to the scalar ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -73,9 +76,14 @@ def entropy(class_counts) -> float:
     counts = list(class_counts)
     if any(c < 0 for c in counts):
         raise ValueError("class counts must be non-negative")
-    total = sum(counts)
-    if total <= 0:
+    if sum(counts) <= 0:
         raise ValueError("entropy of an empty node is undefined")
+    return _entropy(counts)
+
+
+def _entropy(counts: list[int]) -> float:
+    """``entropy`` of a list of counts with a positive sum, unchecked."""
+    total = sum(counts)
     ent = 0.0
     for c in counts:
         if c > 0:
@@ -173,8 +181,8 @@ def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _bin_columns(values: np.ndarray):
     """Exact bins: each column binned by its own sorted distinct values.
 
-    Returns the (n, m) global bin code of every cell (column j's bins follow
-    column j - 1's), and each bin's value and column.
+    Returns the (n, m) code of every cell, 1 + its global bin (column j's
+    bins follow column j - 1's), and each bin's value and column.
     """
     by_column = np.ascontiguousarray(values.T)
     order = np.argsort(by_column, axis=1)
@@ -184,15 +192,13 @@ def _bin_columns(values: np.ndarray):
     per_column = new.sum(axis=1)
     offsets = np.cumsum(per_column) - per_column
     codes = np.empty(sv.shape, dtype=np.intp)
-    np.put_along_axis(codes, order, np.cumsum(new, axis=1) - 1 + offsets[:, None], axis=1)
+    np.put_along_axis(codes, order, np.cumsum(new, axis=1) + offsets[:, None], axis=1)
     column = np.repeat(np.arange(len(per_column)), per_column)
     return np.ascontiguousarray(codes.T), sv[new], column
 
 
-def _search(
-    bins, rows: np.ndarray, node_of: np.ndarray, labels: np.ndarray, counts: np.ndarray
-) -> list[tuple[int, float, float, float] | None]:
-    """Best split of each of a batch of nodes, or None where there is none.
+def _search(bins, rows, node_of, labels, counts) -> dict[int, tuple[int, float, float, float]]:
+    """The best split of each node of a batch that has one, by node.
 
     Node ``i`` holds the rows ``rows[node_of == i]`` with class indices
     ``labels`` and class counts ``counts[i]``, over its tree's classes; a
@@ -200,49 +206,44 @@ def _search(
     """
     codes, bin_value, bin_column = bins
     n_nodes, k = counts.shape
-    # The histogram spans only the bins the batch occupies, so its size is
-    # bounded by the batch's cells, not by the matrix's number of bins.
-    cell_bins = codes[rows]
-    used = np.zeros(len(bin_value), dtype=bool)
-    used[cell_bins] = True
-    slot_of = np.cumsum(used)  # 1 + a used bin's index among the used bins
-    used = np.nonzero(used)[0]
-    n_slots = len(used) + 1
-    bin_value, bin_column = bin_value[used], bin_column[used]
-    # Each cell's (node, slot), flat; slot 0 of every node stays empty, so
-    # that the cumulative sums along a node's slots start from zero.
-    at = slot_of[cell_bins] + (node_of * n_slots)[:, None]
-    occupied = np.zeros(n_nodes * n_slots, dtype=bool)
-    occupied[at] = True
-    hist = np.bincount((at * k + labels[:, None]).ravel(), minlength=n_nodes * n_slots * k)
-    hist = hist.reshape(n_nodes, n_slots, k)
-    # The occupied bins of a node are its distinct values, in scan order:
+    n_slots = len(bin_value) + 1  # slot 0 of every node stays empty
+    cells = codes[rows]
+    if k * n_nodes * n_slots > cells.size:
+        # Only the bins the batch occupies get slots, so that the histogram
+        # is bounded by the batch's cells, not by the matrix's bins.
+        used = np.zeros(n_slots, dtype=bool)
+        used[cells] = True
+        cells, used = used.cumsum()[cells], used.nonzero()[0] - 1
+        n_slots, bin_value, bin_column = len(used) + 1, bin_value[used], bin_column[used]
+    # The (class, node, slot) histogram: a node's slots are contiguous, and
+    # a (node, slot) is occupied if any class counts it.
+    cells += ((labels * n_nodes + node_of) * n_slots)[:, None]
+    hist = np.bincount(cells.ravel(), minlength=k * n_nodes * n_slots).reshape(k, n_nodes, -1)
+    # The occupied slots of a node are its distinct values, in scan order:
     # column first, then ascending value. A candidate threshold lies between
-    # an occupied bin and the next one when both are in the same column.
-    at = np.nonzero(occupied)[0]
+    # an occupied slot and the next one when both are in the same column.
+    at = hist.any(axis=0).ravel().nonzero()[0]
     node, slot = np.divmod(at, n_slots)
     column = bin_column[slot - 1]
-    cand = np.nonzero((node[:-1] == node[1:]) & (column[:-1] == column[1:]))[0]
-    results = [None] * n_nodes
+    cand = ((node[:-1] == node[1:]) & (column[:-1] == column[1:])).nonzero()[0]
     if cand.size == 0:
-        return results
+        return {}
     at, node, column = at[cand], node[cand], column[cand]
-    low, high = bin_value[slot[cand] - 1], bin_value[slot[cand + 1] - 1]
     # Class counts up to each slot. Every row has one cell in each column,
     # so the columns before column j hold j times the node's class counts.
-    np.cumsum(hist, axis=1, out=hist)
+    hist.cumsum(axis=2, out=hist)
     node_counts = counts[node]
-    left_counts = np.take(hist.reshape(-1, k), at, axis=0) - column[:, None] * node_counts
-    nl = _row_sums(left_counts).astype(float)
-    n = _row_sums(node_counts).astype(float)
+    left_counts = hist.reshape(k, -1)[:, at].T - column[:, None] * node_counts
+    nl = left_counts.sum(axis=1).astype(float)
+    n = counts.sum(axis=1)[node].astype(float)
     nr = n - nl
     # Left and right children stacked, in C order, so that each row's
     # entropy terms are summed as a one-node search sums them.
     children = np.concatenate((left_counts, node_counts - left_counts), dtype=float)
     h_children = _entropy_rows(children, np.concatenate((nl, nr)))
-    h_parent = np.array([entropy(c) for c in counts.tolist()])[node]
-    wl = nl / n
-    wr = nr / n
+    # Every node of a batch is searched, so its counts are not all zero.
+    h_parent = np.array([_entropy(c) for c in counts.tolist()])[node]
+    wl, wr = nl / n, nr / n
     gains = h_parent - wl * h_children[: len(cand)] - wr * h_children[len(cand) :]
     split_info = -(wl * np.log2(wl) + wr * np.log2(wr))
     ratios = np.where(gains > _GAIN_EPS, gains / split_info, -np.inf)
@@ -253,15 +254,17 @@ def _search(
     running = np.full(n_nodes * n_slots, -np.inf)
     running[at] = ratios
     running = np.maximum.accumulate(running.reshape(n_nodes, n_slots), axis=1).ravel()
-    records = np.nonzero(ratios > running[at - 1])[0]
+    records = (ratios > running[at - 1]).nonzero()[0]
     best = {}  # node -> (its displacement bar, candidate)
     for i, c, ratio in zip(node[records].tolist(), records.tolist(), ratios[records].tolist()):
         if i not in best or ratio > best[i][0]:
             best[i] = ratio * (1.0 + _REL_TOL) + _GAIN_EPS, c
+    hits = {}
     for i, (_bar, c) in best.items():
-        threshold = float((low[c] + high[c]) / 2.0)
-        results[i] = int(column[c]), threshold, float(gains[c]), float(ratios[c])
-    return results
+        p = cand[c]  # the winner's slot is slot[p], and the next occupied one slot[p + 1]
+        cut = (bin_value[slot[p] - 1] + bin_value[slot[p + 1] - 1]) / 2.0
+        hits[i] = int(column[c]), float(cut), float(gains[c]), float(ratios[c])
+    return hits
 
 
 def _best_split_arrays(
@@ -270,8 +273,7 @@ def _best_split_arrays(
     """Best (column, threshold, gain, ratio) of one node, or None."""
     counts = np.bincount(label_idx, minlength=n_classes)[None]
     everything = np.arange(len(label_idx))
-    bins = _bin_columns(values)
-    return _search(bins, everything, np.zeros_like(everything), label_idx, counts)[0]
+    return _search(_bin_columns(values), everything, everything * 0, label_idx, counts).get(0)
 
 
 def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
@@ -338,26 +340,24 @@ def _grow(
         # A node of one class, or too small to split, is a leaf unsearched.
         can_split = (counts.max(axis=1) < sizes) & (sizes >= 2 * config.min_leaf)
         keep = can_split[node_of]
-        node_of = (can_split.cumsum() - 1)[node_of[keep]]  # among the searched
-        order = np.argsort(node_of, kind="stable")  # a node's rows back to back
-        rows, labels, node_of = rows[keep][order], labels[keep][order], node_of[order]
+        rows, labels, node_of = rows[keep], labels[keep], node_of[keep]
         searched = can_split.nonzero()[0]
-        column = np.full(len(counts), -1)
-        threshold = np.zeros(len(counts))
-        node_sizes = sizes[searched]
-        bounds = np.concatenate(([0], node_sizes.cumsum())).tolist()
+        at = (can_split.cumsum() - 1)[node_of]  # a row's node among the searched
+        column, threshold = np.full(len(counts), -1), np.zeros(len(counts))
+        node_sizes = sizes[searched].tolist()
         node_widths = [widths[t] for t in tree_of[searched].tolist()]
-        chunks = _chunks(node_sizes.tolist(), node_widths, values.shape[1], len(bins[1]))
+        chunks = list(_chunks(node_sizes, node_widths, values.shape[1], len(bins[1])))
+        if len(chunks) > 1:  # each batch's rows must then be one run
+            order = np.argsort(at, kind="stable")
+            rows, labels, node_of, at = rows[order], labels[order], node_of[order], at[order]
+        bounds = [0, *itertools.accumulate(node_sizes)]
         for lo, hi in chunks:
             r = slice(bounds[lo], bounds[hi])
             node_counts = counts[searched[lo:hi], : node_widths[lo]]
-            found = _search(bins, rows[r], node_of[r] - lo, labels[r], node_counts)
-            for i, hit in zip(searched[lo:hi].tolist(), found):
-                if hit is not None:
-                    column[i], threshold[i] = hit[0], hit[1]
+            for i, hit in _search(bins, rows[r], at[r] - lo, labels[r], node_counts).items():
+                column[searched[lo + i]], threshold[searched[lo + i]] = hit[:2]
         # Routed by value, not by bin: a midpoint can round onto the upper
         # value, which then goes left, as the threshold test says.
-        node_of = searched[node_of]
         go_left = values[rows, column[node_of]] <= threshold[node_of]
         # A split that sends every row left would recur at its left child
         # forever; such a node stays a leaf.

@@ -29,7 +29,10 @@ from gradecast.dataset import (
     _Rows,
 )
 from gradecast.errors import ConfigError, GradecastError, ParseError, ReferentialError
+from gradecast.evaluation import cross_validate
 from gradecast.features import FAMILIES, FeatureConfig, build_feature_matrix
+from gradecast.labeling import categorize_all
+from gradecast.tree import train_tree
 
 from conftest import FINAL, MIDTERM, hours_before, make_task, make_timeline, sub, ts
 
@@ -1108,6 +1111,74 @@ def test_line_order_and_line_ends_leave_the_dataset_and_matrices_unchanged(
         assert (_plain_rows(path, path.read_bytes()) is None) == (name == "crlf")
         loaded.append(dataset_and_matrices(path))
     assert all(other == loaded[0] for other in loaded[1:])
+
+
+ID = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12)
+
+
+def spelled_course(directory, students, tasks, spell, seed):
+    """A course's three files, with each id written as ``spell(id)``:
+    submissions and grades drawn from ``seed``, the same for every spelling."""
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 5, size=len(tasks))
+    tasks_csv = ["task_id,assignment_id,deadline,testcase_ids"] + [
+        f"{spell(t)},a0,2016-10-20T18:00:00Z,{';'.join(f'tc{i}' for i in range(w))}"
+        for t, w in zip(tasks, widths)
+    ]
+    subs_csv, grades_csv = ["student_id,task_id,submitted_at,outcomes"], ["student_id,midterm,final"]
+    for student in students:
+        ability = rng.random()
+        for task, width in zip(tasks, widths):
+            for day in rng.choice(np.arange(1, 31), size=rng.integers(0, 4), replace=False):
+                outcomes = "".join("PF"[int(rng.random() > ability)] for _ in range(width))
+                subs_csv.append(f"{spell(student)},{spell(task)},2016-10-{day:02d}T12:00:00Z,{outcomes}")
+        midterm, final = np.clip(ability * 110 + rng.normal(0, 15, 2), 0, 110).round(1)
+        grades_csv.append(f"{spell(student)},{midterm},{final}")
+    texts = {"tasks": tasks_csv, "submissions": subs_csv, "grades": grades_csv}
+    return write_inputs(directory, **{name: "\n".join(lines) + "\n" for name, lines in texts.items()})
+
+
+def outcome_of(call):
+    """A call's result, or the type of the error it raised: a message may
+    name a column, and column names carry task ids."""
+    try:
+        return repr(call())
+    except GradecastError as err:
+        return type(err).__name__
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    students=st.lists(ID, min_size=8, max_size=24, unique=True),
+    tasks=st.lists(ID, min_size=1, max_size=3, unique=True),
+    prefix=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_order_preserving_id_renaming_leaves_matrices_trees_and_reports_unchanged(
+    tmp_path_factory, students, tasks, prefix, seed
+):
+    # A common prefix keeps the byte order of ids, and so the order of
+    # students and of equal-deadline tasks; it also moves ids across the
+    # 8-byte words in which the byte reader codes them.
+    seen = []
+    for spell in (str, lambda name: prefix + name):
+        paths = spelled_course(tmp_path_factory.mktemp("ids"), students, tasks, spell, seed)
+        ds = load(paths)
+        assert list(ds.student_ids) == sorted(spell(s) for s in students)
+        config = FeatureConfig(tuple(spell(t) for t in tasks))
+        found = []
+        for family in FAMILIES:
+            m = build_feature_matrix(ds, family, config, "final")
+            categorical = m.with_target(categorize_all(m.target), "final_category")
+            model = train_tree(categorical)
+            found += [
+                m.values.tolist(), m.target.tolist(), model.classes,
+                [getattr(model, a).tolist() for a in ("feature", "threshold", "child", "counts")],
+                outcome_of(lambda: cross_validate(categorical, "tree", 4, seed)),
+                outcome_of(lambda: cross_validate(m, "regression", 4, seed)),
+            ]
+        seen.append(found)
+    assert seen[1] == seen[0]
 
 
 @given(st.lists(st.integers(0, 4), max_size=12), st.data())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -414,6 +415,106 @@ def test_train_trees_equals_frozen_one_tree_induction(data):
         assert model.classes == classes
         assert model.config == config
         assert model.root == root
+
+
+def node_arrays(model):
+    return [getattr(model, name).tolist() for name in ("feature", "threshold", "child", "counts")]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_train_trees_ignores_row_order_and_a_constant_column(data):
+    n = data.draw(st.integers(1, 40))
+    p = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.integers(0, 5), min_size=n * p, max_size=n * p))
+    values = np.array(cells, dtype=float).reshape(n, p) / data.draw(st.sampled_from([1, 2, 3]))
+    labels = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    row_sets = data.draw(st.lists(rows, min_size=1, max_size=4))
+    config = TreeConfig(min_leaf=data.draw(st.integers(1, 3)), pruning=data.draw(st.booleans()))
+    # Old row i is row moved[i] of the permuted matrix; each row set is
+    # shuffled too, so that the rows of a depth arrive in another order.
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    moved = np.argsort(order)
+    moved_sets = [moved[data.draw(st.permutations(rows))] for rows in row_sets]
+    constant = np.full((n, 1), data.draw(st.sampled_from([0.0, 2.0, 7.5])))
+    m = matrix_of(values, labels)
+    permuted = matrix_of(values[order], np.array(labels, dtype=object)[order])
+    widened = matrix_of(np.hstack([values, constant]), labels)
+    # A cap of one cell searches every node alone; 64 mixes batch sizes.
+    cap = data.draw(st.sampled_from([1, 64, tree_module._CHUNK_CELLS]))
+    with mock.patch.object(tree_module, "_CHUNK_CELLS", cap):
+        models = train_trees(m, row_sets, config)
+        permuted_models = train_trees(permuted, moved_sets, config)
+        widened_models = train_trees(widened, row_sets, config)
+    for model, again, wide in zip(models, permuted_models, widened_models, strict=True):
+        assert node_arrays(again) == node_arrays(model)
+        assert to_json(again) == to_json(model)
+        assert node_arrays(wide) == node_arrays(model)
+        doc, wide_doc = json.loads(to_json(model)), json.loads(to_json(wide))
+        assert wide_doc.pop("columns") == doc.pop("columns") + [f"f{p}"]
+        assert wide_doc == doc
+
+
+def benchmark_shaped_matrix(kind):
+    """Three classes over 48 columns: 350 rows of 0/1 values, as a fold of a
+    testcase-outcome matrix, or those rows and 100 SMOTE-style rows between
+    two of them, whose many distinct values give thousands of bins."""
+    rng = np.random.default_rng(28)
+    ability = rng.random(350)
+    values = (rng.random((350, 48)) < ability[:, None]).astype(float)
+    grade = ability + rng.normal(0.0, 0.15, 350)
+    if kind == "distinct":
+        a, b = rng.integers(0, 350, size=(2, 100))
+        gap = rng.random((100, 1))
+        values = np.vstack([values, values[a] + gap * (values[b] - values[a])])
+        grade = np.concatenate([grade, grade[a] + gap[:, 0] * (grade[b] - grade[a])])
+    labels = np.array([PP, SP, GP], dtype=object)[np.digitize(grade, [0.4, 0.7])]
+    return matrix_of(values, labels)
+
+
+class BincountLengths:
+    """numpy, as tree.py sees it, recording the length of every bincount."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, x, minlength=0):
+        self.lengths.append(minlength)
+        return np.bincount(x, minlength=minlength)
+
+
+@pytest.mark.parametrize(
+    "kind, expected_layouts",
+    [("binary", {"all bins"}), ("distinct", {"all bins", "occupied bins"})],
+)
+def test_train_tree_equals_frozen_induction_at_benchmark_shapes(kind, expected_layouts):
+    m = benchmark_shaped_matrix(kind)
+    numpy, layouts = BincountLengths(), set()
+    search = tree_module._search
+
+    def recording_search(bins, rows, node_of, labels, counts):
+        # The search's one bincount is its histogram: one slot per bin of
+        # the matrix, and an empty slot 0, for each node and class, or fewer.
+        hits = search(bins, rows, node_of, labels, counts)
+        every_bin = numpy.lengths[-1] == counts.size * (len(bins[1]) + 1)
+        layouts.add("all bins" if every_bin else "occupied bins")
+        return hits
+
+    for pruning in (False, True):
+        config = TreeConfig(pruning=pruning)
+        with mock.patch.object(tree_module, "_search", recording_search):
+            with mock.patch.object(tree_module, "np", numpy):
+                model = train_tree(m, config)
+        assert (model.classes, model.root) == reference_train_tree(m, config)
+    # 0/1 columns have so few bins that the histogram spans them all; with
+    # thousands of bins it spans the occupied ones, until deep nodes hold
+    # more cells than all bins would take.
+    assert layouts == expected_layouts
+    assert _depth(model.root) >= 3
 
 
 def test_split_whose_midpoint_rounds_onto_the_upper_value_is_not_taken():
