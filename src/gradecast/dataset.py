@@ -32,12 +32,15 @@ one list of strings per required field. A submissions file has two readers:
 
 Both readers give ``Dataset`` the same columns: each id column as a list
 of ids with each row's place in it, the times, the outcome bytes back to
-back and each row's outcome length. A bad row raises an error naming ``path:line``,
-the physical line the row starts on, counting blank lines and line breaks
-inside quoted fields; only that row's text is decoded for the message, and
-its line is found only when the error is raised, by reading the file again
-up to the row. A byte that is not UTF-8 raises a ParseError naming its
-physical line.
+back and each row's outcome length. The readers refuse only text they
+cannot read: a byte that is not UTF-8, a missing column, a bad deadline or
+grade. ``Dataset`` checks every other rule once, for records and file rows
+alike: the tasks, the grades, then the submission rows (a bad time among
+them). So a load raises the tasks, grades and submissions files' read errors
+first, in that order, then the first broken rule. A refused file row names
+``path:line``, the physical line it starts on, counting blank lines and line
+breaks inside quoted fields, found only when the error is raised; a refused
+record names itself: ``task t1``, ``student s2`` or ``submission s1/t1``.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -47,12 +50,11 @@ student, time), in one stable argsort of one int64 key: the (task, student)
 pair's code times the number of distinct times, plus the time's dense rank;
 rows with equal keys are duplicates. ``time_us`` is int64 microseconds
 since the epoch, exact for any datetime, sub-second ones included;
-``passed`` counts ``P`` outcomes;
-``outcomes`` holds a task's outcome characters as one (rows,
-testcase_count) uint8 block, gathered row by row from the readers' buffer.
-File rows and records go through one validator, which raises the error of
-the earliest bad row. The exam grades are arrays too: ``midterm`` and
-``final`` hold the retained students' grades in ``student_ids`` order.
+``passed`` counts ``P`` outcomes; ``outcomes`` holds a task's outcome
+characters as one (rows, testcase_count) uint8 block, gathered row by row
+from the readers' buffer. Of several bad submission rows, the earliest is
+refused. The exam grades are arrays too: ``midterm`` and ``final`` hold the
+retained students' grades in ``student_ids`` order.
 
 The rows of one (task, student) pair are a run. Right after the sort, a few
 O(rows) segment reductions (``reduceat``) index every run: its student, its
@@ -202,16 +204,25 @@ class _Rows(NamedTuple):
     id_index: tuple[np.ndarray, np.ndarray] | None = None  # each row's place in the two
     texts: Callable[[int], tuple] | None = None  # a row's four fields as text
 
-    def error(self, i: int, referential: bool, message: str) -> Exception:
-        """Row ``i``'s error: file rows name ``path:line``, records their ids."""
-        if self.path is None:
-            student, task = self.texts(i)[:2]
-            text = f"submission {student}/{task}: {message}"
-            return ReferentialError(text) if referential else ConfigError(text)
-        line_no = _row_line(self.path, i)
-        if referential:
-            return ReferentialError(f"{self.path}:{line_no}: {message}")
-        return ParseError(self.path, line_no, message)
+
+class _FileRecords(list):
+    """Records read from the file ``path``, one per non-blank data row."""
+
+    def __init__(self, records, path):
+        super().__init__(records)
+        self.path = path
+
+
+def _refusal(path, i: int, message: str, record: str = "", referential: bool = False):
+    """The error refusing row ``i`` of the file ``path``, naming ``path:line``,
+    the physical line the row starts on; for a record (``path`` None), the
+    error naming ``record``."""
+    if path is None:
+        return (ReferentialError if referential else ConfigError)(f"{record}: {message}")
+    line_no = _row_line(path, i)
+    if referential:
+        return ReferentialError(f"{path}:{line_no}: {message}")
+    return ParseError(path, line_no, message)
 
 
 def _text_rows(students, tasks, time_us, outcomes, path=None, times=None) -> _Rows:
@@ -231,8 +242,9 @@ def _text_rows(students, tasks, time_us, outcomes, path=None, times=None) -> _Ro
 class Dataset:
     """Validated, immutable view of one course's submission history.
 
-    Construction resolves referential integrity and drops students that
-    miss either exam; afterwards the object is safe to share read-only.
+    Construction checks every course rule, resolves referential integrity
+    and drops students that miss either exam; afterwards the object is safe
+    to share read-only. Tasks and grades read from a file carry its ``path``.
     """
 
     def __init__(
@@ -243,12 +255,17 @@ class Dataset:
         grades: list[GradeRecord],
     ):
         self._task_index: dict[str, int] = {}
-        for task in tasks:
-            if task.testcase_count < 1:
-                raise ConfigError(f"task {task.task_id} has no testcases")
-            if task.task_id in self._task_index:
-                raise ConfigError(f"duplicate task_id {task.task_id}")
-            self._task_index[task.task_id] = len(self._task_index)
+        for i, task in enumerate(tasks):
+            ids = task.testcase_ids
+            refused = (
+                f"duplicate task_id {task.task_id}" if task.task_id in self._task_index
+                else "no testcase ids" if not ids
+                else "duplicate testcase ids" if len(set(ids)) < len(ids)
+                else None
+            )
+            if refused:
+                raise _refusal(getattr(tasks, "path", None), i, refused, f"task {task.task_id}")
+            self._task_index[task.task_id] = i
         self.tasks = tuple(tasks)
         self.timeline = timeline
 
@@ -256,17 +273,16 @@ class Dataset:
         self.report.students_read = len(grades)
 
         grades_by_id: dict[str, GradeRecord] = {}
-        for g in grades:
-            if g.student_id in grades_by_id:
-                raise ConfigError(f"duplicate grade row for student {g.student_id}")
-            grades_by_id[g.student_id] = g
-            # The grades file's rule: a given grade lies in [0, the exam's maximum].
+        for i, g in enumerate(grades):
+            refused = [f"duplicate student_id {g.student_id}"] * (g.student_id in grades_by_id)
             for exam in ("midterm", "final"):
-                value, maximum = g.exam(exam), timeline.exam_max(exam)
-                if value is not None and not 0 <= value <= maximum:
-                    raise ConfigError(
-                        f"student {g.student_id}: {exam} grade {value} outside [0, {maximum}]"
-                    )
+                value, top = g.exam(exam), timeline.exam_max(exam)
+                if value is not None and not 0 <= value <= top:
+                    refused.append(f"{exam} grade {value} outside [0, {top}]")
+            if refused:
+                path = getattr(grades, "path", None)
+                raise _refusal(path, i, refused[0], f"student {g.student_id}")
+            grades_by_id[g.student_id] = g
 
         retained = {
             sid: g
@@ -334,7 +350,8 @@ class Dataset:
                 length=lengths[i],
                 width=widths[task[i]],
             )
-            raise rows.error(i, k < 2, message)  # the first two are referential
+            record = f"submission {student_text}/{task_text}"
+            raise _refusal(rows.path, i, message, record, k < 2)  # the first two are referential
 
         keep = order[student[order] >= 0]
         columns = task[keep], student[keep], rows.time_us[keep], passed[keep]
@@ -564,24 +581,17 @@ def _row_line(path, i: int) -> int:
 
 
 def _read_tasks(path) -> list[TaskSpec]:
+    """The tasks file's rows as TaskSpecs; ``Dataset`` checks the course rules."""
     tasks = []
-    seen: set[str] = set()
     columns = _read_rows(path, ["task_id", "assignment_id", "deadline", "testcase_ids"])
     for i, (task_id, assignment_id, deadline, testcase_ids) in enumerate(zip(*columns)):
-        if task_id in seen:
-            raise ParseError(path, _row_line(path, i), f"duplicate task_id {task_id}")
-        seen.add(task_id)
         try:
             when = parse_timestamp(deadline)
         except ValueError:
-            raise ParseError(path, _row_line(path, i), f"bad timestamp {deadline!r}") from None
+            raise _refusal(path, i, f"bad timestamp {deadline!r}") from None
         ids = tuple(t for t in testcase_ids.split(";") if t)
-        if not ids:
-            raise ParseError(path, _row_line(path, i), "task has no testcase_ids")
-        if len(set(ids)) != len(ids):
-            raise ParseError(path, _row_line(path, i), "duplicate testcase ids")
         tasks.append(TaskSpec(task_id, assignment_id, when, ids))
-    return tasks
+    return _FileRecords(tasks, path)
 
 
 _SUBMISSION_FIELDS = ["student_id", "task_id", "submitted_at", "outcomes"]
@@ -681,7 +691,7 @@ def _distinct(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[st
     return [key.decode("ascii") for key in keys.tolist()], index
 
 
-def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float | None:
+def _parse_grade(raw: str, path, row: int, label: str) -> float | None:
     text = raw.strip()
     if not text:
         return None
@@ -690,36 +700,26 @@ def _parse_grade(raw: str, maximum: float, path, row: int, label: str) -> float 
         if math.isnan(value):
             raise ValueError(text)
     except ValueError:
-        raise ParseError(path, _row_line(path, row), f"bad {label} grade {raw!r}") from None
-    if value < 0 or value > maximum:
-        raise ParseError(
-            path, _row_line(path, row), f"{label} grade {value} outside [0, {maximum}]"
-        )
+        raise _refusal(path, row, f"bad {label} grade {raw!r}") from None
     return value
 
 
-def _read_grades(path, timeline: CourseTimeline) -> list[GradeRecord]:
-    grades = []
-    seen: set[str] = set()
+def _read_grades(path) -> list[GradeRecord]:
+    """The grades file's rows as GradeRecords; ``Dataset`` checks the course rules."""
     columns = _read_rows(path, ["student_id", "midterm", "final"])
-    for i, (sid, midterm, final) in enumerate(zip(*columns)):
-        if sid in seen:
-            raise ParseError(path, _row_line(path, i), f"duplicate grade row for {sid}")
-        seen.add(sid)
-        grades.append(
-            GradeRecord(
-                sid,
-                _parse_grade(midterm, timeline.midterm_max, path, i, "midterm"),
-                _parse_grade(final, timeline.final_max, path, i, "final"),
-            )
+    grades = [
+        GradeRecord(
+            sid, _parse_grade(midterm, path, i, "midterm"), _parse_grade(final, path, i, "final")
         )
-    return grades
+        for i, (sid, midterm, final) in enumerate(zip(*columns))
+    ]
+    return _FileRecords(grades, path)
 
 
 def load_dataset(tasks_path, submissions_path, grades_path, timeline: CourseTimeline) -> Dataset:
     """Load and cross-validate the three CSV files into a Dataset."""
     tasks = _read_tasks(tasks_path)
-    grades = _read_grades(grades_path, timeline)
+    grades = _read_grades(grades_path)
     return Dataset(tasks, timeline, _read_submissions(submissions_path), grades)
 
 

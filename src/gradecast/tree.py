@@ -41,8 +41,10 @@ rounds onto the upper value sends that value left, and a NaN goes right.
 
 Optional pruning is pessimistic subtree replacement: a subtree collapses
 to a leaf when the leaf's estimated error count (an upper confidence
-bound on the binomial error rate at the configured confidence) does not
-exceed the sum of its children's estimates. Every node's estimate as a leaf
+bound on the binomial error rate at the configured confidence ``c``) does
+not exceed the sum of its children's estimates. The bound's ``z`` is the
+standard normal quantile of ``1 - c``, ``statistics.NormalDist().inv_cdf``
+(Wichura's AS241, as CPython implements it). Every node's estimate as a leaf
 is computed in one numpy expression per tree, in the scalar bound's order of
 operations, so the estimates are bit-identical to the scalar ones.
 """
@@ -60,7 +62,6 @@ import numpy as np
 from .errors import ConfigError, PredictionError, TrainingError
 from .features import FeatureMatrix
 from .labeling import PerformanceCategory, label_codes
-from .special import normal_quantile
 
 # Candidates must improve on the running best by this much to displace it;
 # mathematically tied ratios computed in different orders stay tied.
@@ -126,8 +127,9 @@ class TreeConfig:
     def __post_init__(self):
         if self.min_leaf < 1:
             raise ConfigError("min_leaf must be >= 1")
-        if not 0.0 < self.pruning_confidence < 1.0:
-            raise ConfigError("pruning_confidence must be in (0, 1)")
+        # Pruning takes the normal quantile of 1 - c, which must be below 1.
+        if not 0.0 < 1.0 - self.pruning_confidence < 1.0:
+            raise ConfigError("pruning_confidence must be in (0, 1), and 1 - it below 1")
 
 
 @dataclass(eq=False)
@@ -415,7 +417,11 @@ def _leaf_estimates(counts: np.ndarray, z: float) -> np.ndarray:
 def _prune(model: TreeModel) -> TreeModel:
     """Collapse every split whose estimated errors as a leaf do not exceed
     its children's, deepest first."""
-    z = normal_quantile(1.0 - model.config.pruning_confidence)
+    # Imported on first prune, not with the package: statistics and the modules
+    # it loads would add about 2 ms to every import (2-vCPU host).
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(1.0 - model.config.pruning_confidence)
     estimates = _leaf_estimates(model.counts, z).tolist()
     child = model.child.tolist()
     # Children come after their parent, so a reverse pass meets them first.

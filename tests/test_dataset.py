@@ -15,6 +15,7 @@ from gradecast.dataset import (
     CourseTimeline,
     Dataset,
     GradeRecord,
+    TaskSpec,
     load_dataset,
     tasks_before,
     timeline_from_file,
@@ -25,8 +26,8 @@ from gradecast.dataset import (
     _plain_rows,
     _read_rows,
     _read_submissions,
+    _refusal,
     _row_line,
-    _Rows,
 )
 from gradecast.errors import ConfigError, GradecastError, ParseError, ReferentialError
 from gradecast.evaluation import cross_validate
@@ -473,6 +474,53 @@ def test_grade_records_follow_the_grades_file_rule(grade, exam):
         Dataset([make_task("t1", "a0", MIDTERM, 2)], make_timeline(), [], grades)
 
 
+# Each course rule: the file whose row breaks it, that row, the same row as
+# a record, the record's name and the reason both errors give.
+COURSE_RULES = {
+    "duplicate_task_id": (
+        "tasks", "t2,a1,2016-10-14T18:00:00Z,tc1", TaskSpec("t2", "a1", MIDTERM, ("tc1",)),
+        "task t2", "duplicate task_id t2",
+    ),
+    "no_testcases": (
+        "tasks", "t4,a1,2016-10-14T18:00:00Z,;", TaskSpec("t4", "a1", MIDTERM, ()),
+        "task t4", "no testcase ids",
+    ),
+    "duplicate_testcases": (
+        "tasks", "t4,a1,2016-10-14T18:00:00Z,x;x", TaskSpec("t4", "a1", MIDTERM, ("x", "x")),
+        "task t4", "duplicate testcase ids",
+    ),
+    "duplicate_student": (
+        "grades", "s2,50,50", GradeRecord("s2", 50.0, 50.0), "student s2", "duplicate student_id s2"
+    ),
+    "grade_outside": (
+        "grades", "s3,40,130", GradeRecord("s3", 40.0, 130.0), "student s3",
+        "final grade 130.0 outside [0, 120.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(COURSE_RULES))
+def test_records_and_files_refuse_a_course_rule_alike(tmp_path, rule):
+    kind, row, record, name, reason = COURSE_RULES[rule]
+    course = {
+        "tasks": [make_task("t1", "a0", MIDTERM, 2), make_task("t2", "a0", MIDTERM, 3)],
+        "grades": [GradeRecord("s1", 95.0, 100.0), GradeRecord("s2", 40.0, 45.0)],
+    }
+    course[kind].append(record)
+    with pytest.raises(ConfigError) as err:
+        Dataset(course["tasks"], make_timeline(), [], course["grades"])
+    assert type(err.value) is ConfigError
+    assert str(err.value) == f"{name}: {reason}"
+    # In a file, the row follows a blank line: it starts on its file's last line.
+    texts = {"tasks": TASKS_CSV, "grades": GRADES_CSV}
+    texts[kind] += f"\n{row}\n"
+    paths = write_inputs(tmp_path, **texts)
+    with pytest.raises(ParseError) as err:
+        load(paths)
+    assert err.value.line_no == texts[kind].count("\n")
+    assert str(err.value) == f"{paths[kind]}:{err.value.line_no}: {reason}"
+
+
 def test_submissions_are_rebuilt_from_columns_oldest_first(small_dataset):
     d1 = small_dataset.task("t1").deadline
     subs = small_dataset.submissions("s1", "t1")
@@ -768,11 +816,7 @@ def test_columns_and_row_lines_equal_the_row_by_row_reader(
     assert columns == [[row[j] for row in rows] for j in range(len(required))]
     for i, start in enumerate(starts):
         assert _row_line(path, i) == start
-        n = len(rows)
-        error = _Rows(columns[0], columns[1], np.zeros(n, np.int64), [""] * n, path).error(
-            i, False, "bad"
-        )
-        assert error.line_no == start
+        assert _refusal(path, i, "bad").line_no == start
 
 
 def test_columns_of_a_file_missing_a_required_column(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from gradecast.special import betainc_regularized, f_survival, normal_quantile
+from gradecast.special import betainc_regularized, f_survival
 
 
 def test_betainc_matches_scipy_on_grid():
@@ -42,26 +42,3 @@ def test_f_survival_edge_cases():
     assert f_survival(-1.0, 3, 10) == 1.0
     with pytest.raises(ValueError):
         f_survival(1.0, 0, 10)
-
-
-def test_normal_quantile_matches_scipy():
-    ps = np.concatenate(
-        [
-            np.linspace(1e-12, 1e-3, 50),
-            np.linspace(0.01, 0.99, 99),
-            1.0 - np.linspace(1e-12, 1e-3, 50),
-        ]
-    )
-    for p in ps:
-        assert normal_quantile(float(p)) == pytest.approx(
-            scipy.stats.norm.ppf(p), rel=1e-9, abs=1e-12
-        )
-
-
-def test_normal_quantile_symmetry_and_domain():
-    assert normal_quantile(0.5) == 0.0
-    assert normal_quantile(0.25) == -normal_quantile(0.75)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            normal_quantile(bad)
-

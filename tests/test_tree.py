@@ -1,17 +1,17 @@
 import itertools
 import json
 import math
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradecast.errors import PredictionError, TrainingError
+from gradecast.errors import ConfigError, PredictionError, TrainingError
 from gradecast.features import FeatureMatrix
 from gradecast import tree as tree_module
 from gradecast.labeling import PerformanceCategory, class_order
-from gradecast.special import normal_quantile
 from gradecast.tree import (
     Leaf,
     Split,
@@ -324,7 +324,7 @@ def test_leaf_estimates_equal_the_scalar_estimate_bit_for_bit(data):
     k = data.draw(st.integers(1, 4))
     node = st.lists(st.integers(0, 10**6), min_size=k, max_size=k).filter(any)
     counts = data.draw(st.lists(node, min_size=1, max_size=20))
-    z = normal_quantile(1.0 - data.draw(st.floats(0.01, 0.99)))
+    z = NormalDist().inv_cdf(1.0 - data.draw(st.floats(0.01, 0.99)))
     estimates = tree_module._leaf_estimates(np.array(counts), z)
     assert estimates.tolist() == [_leaf_estimate(c, z) for c in counts]
 
@@ -385,7 +385,7 @@ def reference_train_tree(train, config):
     label_idx = np.array([index[t] for t in train.target])
     root = reference_grow(train.values, label_idx, classes, train.column_names, config)
     if config.pruning:
-        root = reference_prune(root, classes, normal_quantile(1.0 - config.pruning_confidence))
+        root = reference_prune(root, classes, NormalDist().inv_cdf(1.0 - config.pruning_confidence))
     return classes, root
 
 
@@ -769,6 +769,27 @@ def test_json_round_trip_exact():
     assert to_json(again) == text
     assert predict_many(again, values) == predict_many(model, values)
     assert again.classes == model.classes
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, 1e-17, 1e-300, math.nan])
+def test_a_pruning_confidence_whose_complement_is_not_below_1_is_refused(confidence):
+    # 1 - 1e-17 rounds to 1, whose normal quantile does not exist.
+    with pytest.raises(ConfigError, match="pruning_confidence"):
+        TreeConfig(pruning_confidence=confidence)
+    m = matrix_of([1, 2, 3, 4], [PP, PP, GP, GP])
+    doc = json.loads(to_json(train_tree(m, TreeConfig(pruning=False))))
+    doc["config"]["pruning_confidence"] = confidence
+    with pytest.raises(ConfigError, match="pruning_confidence"):
+        from_json(json.dumps(doc))
+
+
+def test_a_pruning_confidence_of_1e_16_prunes_as_the_reference_does():
+    # 1 - 1e-16 is the largest float below 1: z is finite, about 8.2.
+    m = matrix_of([1, 2, 3, 4, 5, 6], [PP, GP, PP, GP, PP, GP])
+    config = TreeConfig(min_leaf=1, pruning_confidence=1e-16)
+    pruned = train_tree(m, config).root
+    assert pruned == reference_train_tree(m, config)[1]
+    assert pruned != train_tree(m, TreeConfig(min_leaf=1, pruning=False)).root
 
 
 def test_json_round_trip_generic_labels():
