@@ -3,7 +3,7 @@
 Input files (all UTF-8 CSV with a header row; a BOM is allowed):
 
 * tasks:        task_id,assignment_id,deadline,testcase_ids
-                deadline is ISO-8601 UTC, testcase_ids is ``;``-separated
+                deadline is ISO-8601, testcase_ids is ``;``-separated
 * submissions:  student_id,task_id,submitted_at,outcomes
                 outcomes is a string over {P,F,C}, one character per testcase
 * grades:       student_id,midterm,final (empty field = exam missed)
@@ -41,6 +41,11 @@ first, in that order, then the first broken rule. A refused file row names
 ``path:line``, the physical line it starts on, counting blank lines and line
 breaks inside quoted fields, found only when the error is raised; a refused
 record names itself: ``task t1``, ``student s2`` or ``submission s1/t1``.
+
+The course calendar is decided here alone. The exams are ``EXAMS``, and
+``exam_index``, the one lookup of an exam by name, refuses any other name
+with ConfigError. A naive datetime is UTC wherever it enters (``_utc``), and
+datetimes are compared as epoch microseconds, so naive and aware ones mix.
 
 Students missing either exam are excluded from the dataset (their
 submissions are dropped) and counted in the load report.
@@ -94,6 +99,15 @@ _SEPARATORS = [4, 7, 10, 13, 16, 19]
 _SEPARATOR_BYTES = np.frombuffer(b"--T::Z", np.uint8)
 # _LEADING_BYTES[k] keeps the first k bytes of a big-endian 8-byte word.
 _LEADING_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+EXAMS = ("midterm", "final")
+
+
+def exam_index(exam: str) -> int:
+    """The exam's place in ``EXAMS``; ConfigError for any other name."""
+    try:
+        return EXAMS.index(exam)
+    except ValueError:
+        raise ConfigError(f"unknown exam {exam!r}") from None
 
 
 class Outcome(Enum):
@@ -127,16 +141,13 @@ class CourseTimeline:
             raise ConfigError(refused[1])
 
     def exam_date(self, exam: str) -> datetime:
-        return self.midterm_date if exam == "midterm" else self.final_date
-
-    def exam_max(self, exam: str) -> float:
-        return self.midterm_max if exam == "midterm" else self.final_max
+        return (self.midterm_date, self.final_date)[exam_index(exam)]
 
 
 def _refused_timeline_field(fields) -> tuple[str, str] | None:
     """(field, reason) of the first timeline value a CourseTimeline refuses,
     or None; dates out of order are charged to ``final_date``."""
-    if fields["midterm_date"] >= fields["final_date"]:
+    if _epoch_us(fields["midterm_date"]) >= _epoch_us(fields["final_date"]):
         return "final_date", "midterm_date must precede final_date"
     for key in ("midterm_max", "final_max"):
         if not 0 < fields[key] < math.inf:
@@ -161,9 +172,6 @@ class GradeRecord:
     student_id: str
     midterm: float | None
     final: float | None
-
-    def exam(self, which: str) -> float | None:
-        return self.midterm if which == "midterm" else self.final
 
 
 @dataclass
@@ -199,10 +207,10 @@ class _Rows(NamedTuple):
     task_ids: list[str]
     time_us: np.ndarray  # int64, _NO_TIME where the text did not parse
     outcomes: np.ndarray  # the rows' outcome characters back to back, uint8
-    path: object = None  # the file the rows came from; None for records
-    lengths: np.ndarray | None = None  # each row's number of outcome characters
-    id_index: tuple[np.ndarray, np.ndarray] | None = None  # each row's place in the two
-    texts: Callable[[int], tuple] | None = None  # a row's four fields as text
+    path: object  # the file the rows came from; None for records
+    lengths: np.ndarray  # each row's number of outcome characters
+    id_index: tuple[np.ndarray, np.ndarray]  # each row's place in the two
+    texts: Callable[[int], tuple]  # a row's four fields as text
 
 
 class _FileRecords(list):
@@ -273,10 +281,10 @@ class Dataset:
         self.report.students_read = len(grades)
 
         grades_by_id: dict[str, GradeRecord] = {}
+        maxima = timeline.midterm_max, timeline.final_max
         for i, g in enumerate(grades):
             refused = [f"duplicate student_id {g.student_id}"] * (g.student_id in grades_by_id)
-            for exam in ("midterm", "final"):
-                value, top = g.exam(exam), timeline.exam_max(exam)
+            for exam, value, top in zip(EXAMS, (g.midterm, g.final), maxima):
                 if value is not None and not 0 <= value <= top:
                     refused.append(f"{exam} grade {value} outside [0, {top}]")
             if refused:
@@ -450,27 +458,27 @@ class Dataset:
 
 
 def tasks_before(dataset: Dataset, cutoff: datetime) -> list[TaskSpec]:
-    """Tasks whose deadline is on or before ``cutoff``, by deadline then id."""
-    hits = [t for t in dataset.tasks if t.deadline <= cutoff]
-    hits.sort(key=lambda t: (t.deadline, t.task_id))
-    return hits
+    """Tasks due on or before ``cutoff``, by deadline then id; naive datetimes are UTC."""
+    limit = _epoch_us(cutoff)
+    keyed = sorted((_epoch_us(t.deadline), t.task_id, t) for t in dataset.tasks)
+    return [t for when, _, t in keyed if when <= limit]
+
+
+def _utc(when: datetime) -> datetime:
+    """The datetime, a naive one read as UTC: the one place of that rule."""
+    return when.replace(tzinfo=timezone.utc) if when.tzinfo is None else when
 
 
 def parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return _utc(datetime.fromisoformat(text)).astimezone(timezone.utc)
 
 
 def _epoch_us(when: datetime) -> int:
-    """Microseconds since the Unix epoch; a naive datetime is read as UTC."""
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return (when - _EPOCH) // _MICROSECOND
+    """Microseconds since the Unix epoch of the datetime as ``_utc`` reads it."""
+    return (_utc(when) - _EPOCH) // _MICROSECOND
 
 
 def _parsed_us(text: str) -> int:
@@ -706,12 +714,10 @@ def _parse_grade(raw: str, path, row: int, label: str) -> float | None:
 
 def _read_grades(path) -> list[GradeRecord]:
     """The grades file's rows as GradeRecords; ``Dataset`` checks the course rules."""
-    columns = _read_rows(path, ["student_id", "midterm", "final"])
+    columns = _read_rows(path, ["student_id", *EXAMS])
     grades = [
-        GradeRecord(
-            sid, _parse_grade(midterm, path, i, "midterm"), _parse_grade(final, path, i, "final")
-        )
-        for i, (sid, midterm, final) in enumerate(zip(*columns))
+        GradeRecord(sid, *(_parse_grade(raw, path, i, exam) for raw, exam in zip(raws, EXAMS)))
+        for i, (sid, *raws) in enumerate(zip(*columns))
     ]
     return _FileRecords(grades, path)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, TaskRows
+from .dataset import EXAMS, Dataset, TaskRows
 from .errors import ConfigError
 
 PASSING_RATE = "passing_rate"
@@ -49,6 +49,8 @@ class FeatureConfig:
     def __post_init__(self):
         if not self.task_scope:
             raise ConfigError("task_scope must not be empty")
+        if len(set(self.task_scope)) < len(self.task_scope):
+            raise ConfigError("task_scope names a task twice")
         if not 0.0 < self.sti_threshold <= 1.0:
             raise ConfigError("sti_threshold must be in (0, 1]")
 
@@ -151,7 +153,7 @@ def build_feature_matrix(
     """One row per retained student (sorted by id), columns per the family."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown feature family {family!r}")
-    if target not in ("midterm", "final", "none"):
+    if target not in (*EXAMS, "none"):
         raise ConfigError(f"unknown target {target!r}")
     unknown = [t for t in config.task_scope if not dataset.has_task(t)]
     if unknown:

@@ -51,6 +51,7 @@ operations, so the estimates are bit-identical to the scalar ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -160,24 +161,17 @@ class TreeModel:
         return nodes[0]
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)``, bit for bit. numpy adds fewer than 8 columns left to
-    right, as this does, but slowly along so short an axis."""
-    if a.shape[1] >= 8:
-        return a.sum(axis=1)
-    total = a[:, 0]
-    for j in range(1, a.shape[1]):
-        total = total + a[:, j]
-    return total
-
-
 def _entropy_rows(count_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a (m, k) count matrix with row totals ``sizes``."""
+    """Entropy of each row of a (m, k) count matrix with row totals ``sizes``.
+
+    A row's terms are added left to right, as ``sum(axis=1)`` adds fewer than
+    8 columns, so zero-count columns appended to the matrix leave every
+    entropy unchanged; numpy would add 8 or more columns in another order."""
     p = count_rows / sizes[:, None]
     terms = np.where(p > 0, p, 1.0)
     np.log2(terms, out=terms)
     terms *= p
-    return -_row_sums(terms)
+    return -functools.reduce(np.add, terms.T)
 
 
 def _bin_columns(values: np.ndarray):
@@ -191,20 +185,18 @@ def _bin_columns(values: np.ndarray):
     sv = np.take_along_axis(by_column, order, axis=1)
     new = np.ones(sv.shape, dtype=bool)
     new[:, 1:] = sv[:, 1:] != sv[:, :-1]
-    per_column = new.sum(axis=1)
-    offsets = np.cumsum(per_column) - per_column
     codes = np.empty(sv.shape, dtype=np.intp)
-    np.put_along_axis(codes, order, np.cumsum(new, axis=1) + offsets[:, None], axis=1)
-    column = np.repeat(np.arange(len(per_column)), per_column)
-    return np.ascontiguousarray(codes.T), sv[new], column
+    # Column by column, as ``new`` is laid out: every column starts a bin.
+    np.put_along_axis(codes, order, new.cumsum().reshape(new.shape), axis=1)
+    return np.ascontiguousarray(codes.T), sv[new], new.nonzero()[0]
 
 
 def _search(bins, rows, node_of, labels, counts) -> dict[int, tuple[int, float, float, float]]:
     """The best split of each node of a batch that has one, by node.
 
     Node ``i`` holds the rows ``rows[node_of == i]`` with class indices
-    ``labels`` and class counts ``counts[i]``, over its tree's classes; a
-    hit is (column, threshold, gain, ratio).
+    ``labels`` and class counts ``counts[i]``, 0 for a class its tree lacks;
+    a hit is (column, threshold, gain, ratio).
     """
     codes, bin_value, bin_column = bins
     n_nodes, k = counts.shape
@@ -278,18 +270,15 @@ def _best_split_arrays(
     return _search(_bin_columns(values), everything, everything * 0, label_idx, counts).get(0)
 
 
-def _chunks(sizes: list[int], widths: list[int], n_columns: int, n_bins: int):
-    """(start, stop) runs of nodes of one class count whose cells (rows x
-    columns) and histogram (nodes x classes x occupied bins, at most the
-    fewer of the cells and the matrix's bins) each fit in _CHUNK_CELLS, or
-    single nodes."""
+def _chunks(sizes: list[int], n_columns: int, n_bins: int, k: int):
+    """(start, stop) runs of nodes whose cells (rows x columns) and histogram
+    (nodes x ``k`` classes x occupied bins, at most the fewer of the cells and
+    the matrix's bins) each fit in _CHUNK_CELLS, or single nodes."""
     start, rows = 0, 0
-    for i, (size, width) in enumerate(zip(sizes, widths)):
+    for i, size in enumerate(sizes):
         cells = (rows + size) * n_columns
         if i > start and (
-            width != widths[start]
-            or cells > _CHUNK_CELLS
-            or (i - start + 1) * width * min(cells, n_bins) > _CHUNK_CELLS
+            cells > _CHUNK_CELLS or (i - start + 1) * k * min(cells, n_bins) > _CHUNK_CELLS
         ):
             yield start, i
             start, rows = i, 0
@@ -321,11 +310,11 @@ def _grow(
     ``labels[t]`` holds the class indices of ``row_sets[t]`` in tree t's
     ``classes[t]``. Nodes are numbered across the batch: the roots first,
     then each depth's nodes, two per split in split order, so the k-th
-    split's children are nodes ``n_trees + 2k`` and the next one.
+    split's children are nodes ``n_trees + 2k`` and the next one. Class
+    counts span the widest tree's classes; another tree's missing ones are 0.
     """
     bins = _bin_columns(values)
-    widths = [len(c) for c in classes]
-    k = max(widths)
+    k = max(len(c) for c in classes)
     n_trees = len(row_sets)
     # Each row of the depth's nodes, its class index and its node in the
     # depth; a node's tree and class counts.
@@ -347,15 +336,14 @@ def _grow(
         at = (can_split.cumsum() - 1)[node_of]  # a row's node among the searched
         column, threshold = np.full(len(counts), -1), np.zeros(len(counts))
         node_sizes = sizes[searched].tolist()
-        node_widths = [widths[t] for t in tree_of[searched].tolist()]
-        chunks = list(_chunks(node_sizes, node_widths, values.shape[1], len(bins[1])))
+        chunks = list(_chunks(node_sizes, values.shape[1], len(bins[1]), k))
         if len(chunks) > 1:  # each batch's rows must then be one run
             order = np.argsort(at, kind="stable")
             rows, labels, node_of, at = rows[order], labels[order], node_of[order], at[order]
         bounds = [0, *itertools.accumulate(node_sizes)]
         for lo, hi in chunks:
             r = slice(bounds[lo], bounds[hi])
-            node_counts = counts[searched[lo:hi], : node_widths[lo]]
+            node_counts = counts[searched[lo:hi]]
             for i, hit in _search(bins, rows[r], at[r] - lo, labels[r], node_counts).items():
                 column[searched[lo + i]], threshold[searched[lo + i]] = hit[:2]
         # Routed by value, not by bin: a midpoint can round onto the upper

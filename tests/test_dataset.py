@@ -228,6 +228,78 @@ def test_tasks_before_orders_by_deadline_then_id():
     assert [t.task_id for t in tasks_before(ds, MIDTERM)] == ["a", "b"]
 
 
+# ------------------------------------------------ the course calendar
+
+
+def test_exam_names_other_than_midterm_and_final_are_refused():
+    timeline = make_timeline()
+    assert timeline.exam_date("midterm") == MIDTERM
+    assert timeline.exam_date("final") == FINAL
+    for name in ("Final", "midterm ", "MIDTERM", "none", ""):
+        with pytest.raises(ConfigError, match=f"unknown exam {name!r}"):
+            timeline.exam_date(name)
+
+
+# One instant written naive (read as UTC), in UTC and at +02:00.
+FORMS = {
+    "naive": lambda when: when.astimezone(timezone.utc).replace(tzinfo=None),
+    "utc": lambda when: when.astimezone(timezone.utc),
+    "+02:00": lambda when: when.astimezone(timezone(timedelta(hours=2))),
+}
+
+
+@pytest.mark.parametrize("cutoff_form", list(FORMS))
+@pytest.mark.parametrize("deadline_form", list(FORMS))
+def test_a_deadline_naive_utc_or_offset_gives_what_a_tasks_file_gives(
+    tmp_path, deadline_form, cutoff_form
+):
+    from_file = load(write_inputs(tmp_path))
+    tasks = [
+        TaskSpec(t.task_id, t.assignment_id, FORMS[deadline_form](t.deadline), t.testcase_ids)
+        for t in from_file.tasks
+    ]
+    submissions = [
+        record
+        for task in from_file.tasks
+        for sid in from_file.student_ids
+        for record in from_file.submissions(sid, task.task_id)
+    ]
+    records = Dataset(tasks, make_timeline(), submissions, list(from_file.grades.values()))
+    # t1 and t2 are due at 2016-10-04T18:00:00Z, t3 ten days later.
+    due = ts("2016-10-04T18:00:00Z")
+    for cutoff, expected in [(due, ["t1", "t2"]), (due - timedelta(microseconds=1), [])]:
+        cutoff = FORMS[cutoff_form](cutoff)
+        assert [t.task_id for t in tasks_before(records, cutoff)] == expected
+        assert [t.task_id for t in tasks_before(from_file, cutoff)] == expected
+    config = FeatureConfig(("t1", "t2", "t3"))
+    sti, file_sti = (build_feature_matrix(d, "sti", config) for d in (records, from_file))
+    assert sti.values.tolist() == file_sti.values.tolist()
+    # s1 first passes 4 of t1's 5 testcases 80 hours before its deadline.
+    assert sti.values[from_file.student_ids.index("s1"), 0] == 80.0
+
+
+def test_a_naive_task_deadline_record_is_read_as_utc():
+    t1 = TaskSpec("t1", "a0", datetime(2016, 10, 1), ("x",))
+    ds = Dataset([t1], make_timeline(), [], [GradeRecord("s1", 50.0, 50.0)])
+    assert tasks_before(ds, MIDTERM) == [t1]
+    assert tasks_before(ds, datetime(2016, 10, 1)) == [t1]
+    assert tasks_before(ds, ts("2016-10-01T01:59:59+02:00")) == []
+
+
+@pytest.mark.parametrize("midterm_form", list(FORMS))
+@pytest.mark.parametrize("final_form", list(FORMS))
+def test_timeline_dates_mix_naive_and_aware_as_utc(midterm_form, final_form):
+    midterm, final = FORMS[midterm_form](MIDTERM), FORMS[final_form](FINAL)
+    timeline = CourseTimeline(midterm, final, 110.0, 120.0)
+    assert timeline.exam_date("midterm") is midterm
+    # The order rule compares instants, whatever the forms: a final date at
+    # the midterm's instant or a microsecond before it is refused.
+    for later in (MIDTERM, MIDTERM - timedelta(microseconds=1)):
+        with pytest.raises(ConfigError, match="midterm_date must precede final_date"):
+            CourseTimeline(midterm, FORMS[final_form](later), 110.0, 120.0)
+    CourseTimeline(midterm, FORMS[final_form](MIDTERM + timedelta(microseconds=1)), 110.0, 120.0)
+
+
 def best_row(dataset, student_id, task_id):
     """The submission the run index marks as the student's best; None if none."""
     rows = dataset.task_rows(task_id)
@@ -751,7 +823,7 @@ def test_grades_are_arrays_in_student_order(tmp_path):
     assert ds.final.tolist() == [100.0, 45.0]
     assert ds.midterm.dtype == ds.final.dtype == np.float64
     for exam in ("midterm", "final"):
-        assert getattr(ds, exam).tolist() == [ds.grades[s].exam(exam) for s in ds.student_ids]
+        assert getattr(ds, exam).tolist() == [getattr(ds.grades[s], exam) for s in ds.student_ids]
 
 
 # ------------------------------------------------ columns and one-block times

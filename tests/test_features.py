@@ -160,6 +160,15 @@ def test_build_matrix_rejects_bad_scope(small_dataset):
         build_feature_matrix(small_dataset, "sti", FeatureConfig(("t9",)))
     with pytest.raises(ConfigError):
         build_feature_matrix(small_dataset, "nope", FeatureConfig(("t1",)))
+    for scope in [("t1", "t1"), ("t1", "t2", "t1")]:
+        with pytest.raises(ConfigError, match="task_scope names a task twice"):
+            FeatureConfig(scope)
+
+
+@pytest.mark.parametrize("target", ["Final", "midterm ", "grade"])
+def test_a_target_that_is_no_exam_is_refused(small_dataset, target):
+    with pytest.raises(ConfigError, match=f"unknown target {target!r}"):
+        build_feature_matrix(small_dataset, "sti", FeatureConfig(("t1",)), target=target)
 
 
 def test_matrix_csv_round_trip(tmp_path, small_dataset):
@@ -247,7 +256,7 @@ def reference_matrix(tasks, records, grades, family, config, target):
         blocks.append(np.array(cells, dtype=float).reshape(len(students), len(names)))
     matrix = FeatureMatrix(students, columns, np.hstack(blocks))
     if target != "none":
-        matrix = matrix.with_target(np.array([graded[s].exam(target) for s in students]), target)
+        matrix = matrix.with_target(np.array([getattr(graded[s], target) for s in students]), target)
     return matrix
 
 
