@@ -6,17 +6,28 @@ rendered as ``-`` in text tables; they are never coerced to 0. The one
 exception is the F-measure when precision and recall are both defined and
 both zero, which is reported as 0.0 so degenerate-but-defined rows keep a
 numeric value.
+
+Cross-validation sets its folds up once per (rows, k, seed): the folds,
+each fold's training rows and the index stacks of the regression fits form
+a fold plan, built by ``_fold_plan`` and kept in a cache of the last
+``_PLANS`` plans. Every array of a plan is read-only, so no caller can
+change the folds of a later cross-validation.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .labeling import PerformanceCategory, label_codes
+from .labeling import PerformanceCategory, check_seed, label_codes
+
+_PLANS = 8  # fold plans kept by _fold_plan's cache
 
 
 @dataclass
@@ -138,26 +149,82 @@ def regression_report(actual, predicted) -> RegressionReport:
     return _error_stats(actual[None], predicted[None])[0]
 
 
-def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Shuffled fold assignment; fold sizes differ by at most one."""
+def _check_folds(n: int, k: int, seed: int) -> None:
+    if not isinstance(k, numbers.Integral):
+        raise ConfigError(f"cross validation requires an integer k, not {k!r}")
     if k < 2:
         raise ConfigError("cross validation requires k >= 2")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of rows ({n})")
+    check_seed(seed)
+
+
+def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
+    """Shuffled fold assignment; fold sizes differ by at most one.
+
+    A ``k`` that is not an integer, and a ``seed`` that is not a
+    non-negative integer, raise ConfigError.
+    """
+    _check_folds(n, k, seed)
     order = np.random.default_rng(seed).permutation(n)
     return np.array_split(order, k)
 
 
+class _FoldPlan(NamedTuple):
+    folds: tuple[np.ndarray, ...]  # each fold's (test) rows
+    train: tuple[np.ndarray, ...]  # each fold's training rows, ascending
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (train, test) per fold size
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _fold_plan(n: int, k: int, seed: int) -> _FoldPlan:
+    """The folds of ``fold_indices(n, k, seed)`` and their index stacks.
+
+    Fold sizes differ by at most one and the larger folds come first, so
+    the folds form at most two stacks of equal shape, in fold order: the
+    rows of a stack's (m, n_test) test array are its folds, and the rows of
+    its (m, n_train) train array their training rows. ``folds`` and
+    ``train`` are views of those rows, and every array is read-only, so a
+    cached plan cannot be changed by a caller.
+    """
+    folds = fold_indices(n, k, seed)
+    fold_of = np.empty(n, dtype=np.intp)
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
+    sizes = np.array([len(fold) for fold in folds])
+    stacks = []
+    for size in dict.fromkeys(sizes.tolist()):
+        ids = np.flatnonzero(sizes == size)
+        train = np.nonzero(fold_of != ids[:, None])[1].reshape(len(ids), -1)
+        test = np.stack([folds[i] for i in ids])
+        train.setflags(write=False)
+        test.setflags(write=False)
+        stacks.append((train, test))
+    return _FoldPlan(
+        tuple(row for _, test in stacks for row in test),
+        tuple(row for train, _ in stacks for row in train),
+        tuple(stacks),
+    )
+
+
 def _fold_mean(kind, per_fold, **fixed):
     """A ``kind`` holding ``fixed`` and, in every other field, the mean of
-    the folds' defined values (None where no fold defines one)."""
-    means = {}
-    for f in fields(kind):
-        if f.name not in fixed:
-            values = [getattr(m, f.name) for m in per_fold]
-            defined = [v for v in values if v is not None]
-            means[f.name] = float(np.mean(defined)) if defined else None
-    return kind(**fixed, **means)
+    the folds' defined values (None where no fold defines one).
+
+    When every fold defines every field, the means are one row-wise mean of
+    a (fields, folds) array. Each row is contiguous, so it is summed as
+    ``np.mean`` sums the row alone.
+    """
+    names = [f.name for f in fields(kind) if f.name not in fixed]
+    values = [[getattr(m, name) for m in per_fold] for name in names]
+    if not any(None in row for row in values):
+        means = np.array(values, dtype=float).mean(axis=1).tolist()
+    else:
+        means = []
+        for row in values:
+            defined = [v for v in row if v is not None]
+            means.append(float(np.mean(defined)) if defined else None)
+    return kind(**fixed, **dict(zip(names, means)))
 
 
 def cross_validate(
@@ -169,14 +236,19 @@ def cross_validate(
 ):
     """K-fold cross validation with arithmetic averaging of fold metrics.
 
-    ``model_kind`` is ``"regression"`` (untransformed least squares; returns
-    an averaged RegressionReport) or ``"tree"`` (returns averaged
-    ClassMetrics for ``target_class``).
+    ``model_kind`` is ``"regression"`` (untransformed least squares on a
+    numeric target; returns an averaged RegressionReport) or ``"tree"``
+    (returns averaged ClassMetrics for ``target_class``).
 
-    Fold sizes differ by at most one, so the regression folds form at most
-    two stacks of equal shape. ``regress.fold_predictions`` fits each stack
-    with one QR and one solve, and each stack's error statistics are axis
-    reductions: the report equals, bit for bit, that of a loop calling
+    ``k`` and ``seed`` are checked as ``fold_indices`` checks them. The
+    folds and their index stacks come from a read-only fold plan, cached
+    for the last few (rows, k, seed) (``_fold_plan``), so repeated calls on
+    matrices of one size share them.
+
+    The regression branch builds the design (intercept, then the columns)
+    once, and ``regress.fold_predictions`` fits each stack of folds with one
+    QR and one solve; each stack's error statistics are axis reductions.
+    The report equals, bit for bit, that of a loop calling
     ``fit_least_squares`` per fold. ``regress._factor`` raises that loop's
     error when a fold cannot be fitted: too few rows, a NaN or infinite
     target, or a rank-deficient training design.
@@ -187,32 +259,26 @@ def cross_validate(
         raise ConfigError("cross_validate requires a target column")
     if model_kind not in ("regression", "tree"):
         raise ConfigError(f"unknown model_kind {model_kind!r}")
-    folds = fold_indices(matrix.n_rows, k, seed)
+    _check_folds(matrix.n_rows, k, seed)
+    plan = _fold_plan(matrix.n_rows, k, seed)
     per_fold = []
     if model_kind == "regression":
-        target = matrix.target.astype(float)
-        fold_of = np.empty(matrix.n_rows, dtype=np.intp)
-        for i, fold in enumerate(folds):
-            fold_of[fold] = i
-        sizes = np.array([len(fold) for fold in folds])
-        # fold_indices puts the larger folds first: stacks in that order keep
-        # fold order.
-        for size in dict.fromkeys(sizes.tolist()):
-            ids = np.flatnonzero(sizes == size)
-            train = np.nonzero(fold_of != ids[:, None])[1].reshape(len(ids), -1)
-            test = np.stack([folds[i] for i in ids])
+        try:
+            target = matrix.target.astype(float)
+        except (TypeError, ValueError):
+            raise ConfigError("regression needs a numeric target") from None
+        design = regress._design(matrix.values)
+        for train, test in plan.stacks:
             predicted = regress.fold_predictions(
-                matrix.values, target, train, test, matrix.column_names
+                design, target, train, test, matrix.column_names
             )
             per_fold.extend(_error_stats(target[test], predicted))
         return _fold_mean(RegressionReport, per_fold)
-    for fold in folds:
-        train = np.ones(matrix.n_rows, dtype=bool)
-        train[fold] = False
+    for fold, train in zip(plan.folds, plan.train):
         # One train_tree call per fold, not one train_trees call for all
         # folds: perfbench/spans.py times each fold's tree as a
         # tree.train_tree span under this call.
-        model = tree.train_tree(matrix.take(np.flatnonzero(train).tolist()))
+        model = tree.train_tree(matrix.take(train))
         predicted = tree.predict_many(model, matrix.values[fold])
         cm = confusion(matrix.target[fold].tolist(), predicted)
         per_fold.append(class_metrics(cm, target_class))

@@ -8,6 +8,7 @@ and raises ValueError.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -102,6 +103,14 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
+        check_seed(self.seed)
+
+
+def check_seed(seed) -> None:
+    """Raise ConfigError unless ``seed`` is a non-negative integer, the one
+    kind of seed every ``np.random.default_rng`` call here takes."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not {seed!r}")
 
 
 def _strata(target: np.ndarray) -> tuple[np.ndarray, list[object]]:

@@ -13,10 +13,11 @@ Predictions invert the transform and are clamped to the valid grade range.
 Every fit factors a stack of equal-shape problems in ``_factor``, the one
 place that decides whether least squares can run and raises when it cannot:
 ``fit_least_squares`` and ``fit_transformed`` factor a stack of one,
-cross-validation one stack per fold size (``fold_predictions``). One stacked
-QR and one stacked solve give, item for item, the coefficients
-``fit_least_squares`` gives, because numpy runs the same LAPACK and BLAS
-calls on each item of a stack.
+cross-validation one stack per fold size (``fold_predictions``, which takes
+the design, intercept column included, built once per cross-validation and
+gathers each stack's rows from it). One stacked QR and one stacked solve
+give, item for item, the coefficients ``fit_least_squares`` gives, because
+numpy runs the same LAPACK and BLAS calls on each item of a stack.
 """
 
 from __future__ import annotations
@@ -175,21 +176,22 @@ def _fit(design, q, r, y, columns, f_test: bool = True) -> RegressionModel:
     return RegressionModel(beta, PowerTransform(), _column_labels(p, columns)[1:], stats)
 
 
-def fold_predictions(X, y, train, test, columns=None) -> np.ndarray:
+def fold_predictions(design, y, train, test, columns=None) -> np.ndarray:
     """Untransformed least-squares predictions of held-out rows.
 
-    Row i is ``fit_least_squares(X[train[i]], y[train[i]], columns)``
-    applied to ``X[test[i]]``, bit for bit, for index arrays ``train``
-    (k, n_train) and ``test`` (k, n_test). The k fits are one stacked QR and
-    one stacked solve. ``_factor`` raises the error of the first fold that
+    ``design`` is ``_design(X)``, built once for all folds. Row i is
+    ``fit_least_squares(X[train[i]], y[train[i]], columns)`` applied to
+    ``X[test[i]]``, bit for bit, for index arrays ``train`` (k, n_train) and
+    ``test`` (k, n_test): a gathered design row equals the row ``_design``
+    builds from the gathered X row. The k fits are one stacked QR and one
+    stacked solve. ``_factor`` raises the error of the first fold that
     cannot be fitted, as a loop over the fits would.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)[train]
-    q, r = _factor(_design(X[train]), y, columns)
+    q, r = _factor(design[train], y, columns)
     # b as (k, n, 1): numpy 1.x and 2.x both read it as a stack of columns.
     beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y[..., None])
-    return (_design(X[test]) @ beta)[..., 0]
+    return (design[test] @ beta)[..., 0]
 
 
 def diagnostics(model: RegressionModel, X, y) -> Diagnostics:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, RebalanceError
 from .features import FeatureMatrix
-from .labeling import PerformanceCategory
+from .labeling import PerformanceCategory, check_seed
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class SmoteConfig:
             raise ConfigError("k_neighbors must be >= 1")
         if self.percentage < 0 or self.percentage % 100 != 0:
             raise ConfigError("percentage must be a non-negative multiple of 100")
+        check_seed(self.seed)
 
 
 def oversample(train: FeatureMatrix, config: SmoteConfig) -> FeatureMatrix:

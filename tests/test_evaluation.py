@@ -7,6 +7,8 @@ from gradecast.errors import ConfigError, GradecastError, SingularityError, Trai
 from gradecast.evaluation import (
     ClassMetrics,
     RegressionReport,
+    _fold_mean,
+    _fold_plan,
     class_metrics,
     confusion,
     cross_validate,
@@ -176,6 +178,55 @@ def test_fold_count_is_validated():
         fold_indices(3, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "k, seed, message",
+    [
+        (2.5, 1, "integer k, not 2.5"),  # used to run 2 folds
+        (3.0, 1, "integer k, not 3.0"),
+        (3, None, "seed must be a non-negative integer, not None"),  # new folds every call
+        (3, -1, "seed must be a non-negative integer, not -1"),  # numpy's ValueError
+        (3, 1.0, "seed must be a non-negative integer, not 1.0"),  # numpy's TypeError
+        (3, 1.5, "seed must be a non-negative integer, not 1.5"),
+    ],
+)
+def test_fold_arguments_that_are_not_integers_are_config_errors(k, seed, message):
+    with pytest.raises(ConfigError, match=message):
+        fold_indices(24, k, seed)
+    # A cached plan for (24, 3, 1) equals the key (24, 3.0, 1) and (24, 3,
+    # 1.0), so the arguments must be checked before the cache is read.
+    m = numeric_matrix()
+    cross_validate(m, "regression", k=3, seed=1)
+    for kind in ("regression", "tree"):
+        matrix = m if kind == "regression" else category_matrix()
+        with pytest.raises(ConfigError, match=message):
+            cross_validate(matrix, kind, k=k, seed=seed)
+
+
+def test_numpy_integer_fold_arguments_give_the_folds_of_their_ints():
+    expected = [fold.tolist() for fold in fold_indices(24, 5, 7)]
+    assert [fold.tolist() for fold in fold_indices(24, np.int64(5), np.uint32(7))] == expected
+    m = numeric_matrix()
+    assert cross_validate(m, "regression", np.int32(5), np.int64(7)) == cross_validate(
+        m, "regression", 5, 7
+    )
+
+
+def test_fold_plan_arrays_refuse_writes():
+    plan = _fold_plan(23, 5, 11)
+    stacked = [array for stack in plan.stacks for array in stack]
+    assert len(stacked) == 4  # folds of 5, 5, 5, 4 and 4 rows
+    for array in (*plan.folds, *plan.train, *stacked):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert [fold.tolist() for fold in plan.folds] == [
+        fold.tolist() for fold in fold_indices(23, 5, 11)
+    ]
+    # A fold and its training rows are views of their stack's rows.
+    assert all(fold.base is not None for fold in plan.folds)
+    assert all(train.base is not None for train in plan.train)
+
+
 # ----------------------------------------------------------- cross validation
 
 def numeric_matrix():
@@ -216,19 +267,30 @@ def test_cross_validate_regression_averages_fold_errors():
         assert isinstance(value, float)
 
 
+def reference_tree_cv(matrix, k, seed, target_class):
+    """cross_validate(matrix, "tree", k, seed, target_class) as a frozen
+    loop that trains one tree at a time on each fold's other rows."""
+    per_fold = []
+    for fold in fold_indices(matrix.n_rows, k, seed):
+        train = np.setdiff1d(np.arange(matrix.n_rows), fold)
+        model = train_tree(matrix.take(train.tolist()))
+        cm = confusion(matrix.target[fold].tolist(), predict_many(model, matrix.values[fold]))
+        per_fold.append(class_metrics(cm, target_class))
+    return ClassMetrics(
+        target_class,
+        *(mean_of_defined([getattr(f, name) for f in per_fold]) for name in
+          ("precision", "recall", "f_measure", "fp_rate")),
+    )
+
+
 def test_cross_validate_tree_averages_defined_fold_metrics():
     m = category_matrix()
     result = cross_validate(m, "tree", k=3, seed=1, target_class=SP)
     assert isinstance(result, ClassMetrics)
     assert result.cls == SP
-    per_fold = []
-    for fold in fold_indices(m.n_rows, 3, 1):
-        train = np.setdiff1d(np.arange(m.n_rows), fold)
-        model = train_tree(m.take(train.tolist()))
-        cm = confusion(m.target[fold].tolist(), predict_many(model, m.values[fold]))
-        per_fold.append(class_metrics(cm, SP))
+    expected = reference_tree_cv(m, 3, 1, SP)
     for name in ("precision", "recall", "f_measure", "fp_rate"):
-        assert getattr(result, name) == mean_of_defined([getattr(f, name) for f in per_fold])
+        assert getattr(result, name) == getattr(expected, name)
 
 
 def test_cross_validate_tree_when_a_training_fold_lacks_a_class():
@@ -286,6 +348,17 @@ def test_cross_validate_requires_target():
     m = FeatureMatrix(["a", "b", "c"], ["x"], np.zeros((3, 1)))
     with pytest.raises(ConfigError):
         cross_validate(m, "regression", k=2)
+
+
+def test_regression_cv_on_a_categorical_target_is_a_config_error():
+    # Category labels used to raise a bare TypeError, and other labels a
+    # bare ValueError, from the conversion to float.
+    m = category_matrix()
+    with pytest.raises(ConfigError, match="regression needs a numeric target"):
+        cross_validate(m, "regression", k=3)
+    labels = m.with_target(np.array(["a", "b", "c"] * 8, dtype=object), "label")
+    with pytest.raises(ConfigError, match="regression needs a numeric target"):
+        cross_validate(labels, "regression", k=3)
 
 
 # ------------------------------------------- stacked regression CV exactness
@@ -424,3 +497,66 @@ def test_regression_cv_with_a_non_finite_target_raises_training_error(bad):
     m = FeatureMatrix(m.student_ids, m.column_names, m.values, target, "g")
     with pytest.raises(TrainingError, match="NaN or an infinity"):
         cross_validate(m, "regression", k=3, seed=0)
+
+
+# ------------------------------------------------------------- fold plans
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_interleaved_cross_validations_equal_plan_free_references(data):
+    # Calls on up to 12 (rows, k, seed) keys, more than the cache keeps: each
+    # key once, then any of them in any order, on fresh data each time, so
+    # that cached plans are reused, evicted and rebuilt.
+    _fold_plan.cache_clear()
+    n_keys = data.draw(st.integers(1, 12), label="number of keys")
+    keys = data.draw(
+        st.lists(
+            st.tuples(st.integers(6, 40), st.integers(2, 6), st.integers(0, 99)),
+            min_size=n_keys,
+            max_size=n_keys,
+        ),
+        label="(rows, k, seed) keys",
+    )
+    kinds = st.sampled_from(["regression", "tree"])
+    calls = [(key, data.draw(kinds, label="kind")) for key in range(n_keys)]
+    calls += data.draw(
+        st.lists(st.tuples(st.integers(0, n_keys - 1), kinds), max_size=12), label="calls"
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+    for key, kind in calls:
+        n, k, seed = keys[key]
+        p = int(rng.integers(1, 4))
+        x = rng.integers(0, 6, size=(n, p)).astype(float) + rng.normal(size=(n, p))
+        ids = [f"s{i}" for i in range(n)]
+        if kind == "regression":
+            m = FeatureMatrix(ids, [f"c{j}" for j in range(p)], x, x.sum(axis=1) + rng.normal(size=n), "g")
+            expected = outcome(lambda: reference_regression_cv(m, k, seed))
+        else:
+            labels = np.array([PP, SP, GP], dtype=object)[rng.integers(0, 3, size=n)]
+            m = FeatureMatrix(ids, [f"c{j}" for j in range(p)], x, labels, "category")
+            expected = outcome(lambda: reference_tree_cv(m, k, seed, PP))
+        assert outcome(lambda: cross_validate(m, kind, k=k, seed=seed, target_class=PP)) == expected
+    cache = _fold_plan.cache_info()
+    event(f"plans reused: {cache.hits > 0}; plans evicted: {cache.misses > cache.maxsize}")
+
+
+@given(st.data())
+def test_fold_mean_of_defined_folds_equals_a_per_field_mean(data):
+    # When every fold defines every field, _fold_mean averages all fields
+    # as one (fields, folds) array: each mean must equal np.mean of its
+    # field's values, bit for bit.
+    kind = data.draw(st.sampled_from([RegressionReport, ClassMetrics]), label="kind")
+    k = data.draw(st.integers(2, 40), label="folds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    names = ["mean_error", "std_error", "correlation", "mae", "rmse"]
+    fixed = {}
+    if kind is ClassMetrics:
+        names = ["precision", "recall", "f_measure", "fp_rate"]
+        fixed = {"cls": PP}
+    values = rng.normal(size=(k, len(names))) * 10.0 ** rng.integers(-8, 9, size=len(names))
+    per_fold = [kind(**fixed, **dict(zip(names, row))) for row in values.tolist()]
+    result = _fold_mean(kind, per_fold, **fixed)
+    for name in names:
+        expected = float(np.mean([getattr(f, name) for f in per_fold]))
+        assert getattr(result, name).hex() == expected.hex()
+    assert {name: getattr(result, name) for name in fixed} == fixed

@@ -141,6 +141,13 @@ def test_split_spec_validates_fraction():
         SplitSpec(train_fraction=0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 1.0, None, "1"])
+def test_split_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # -1 and 1.5 used to be accepted here and fail later in numpy.
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        SplitSpec(seed=seed)
+
+
 def test_categorize_all_matches_scalar():
     grades = [0.0, 49.9, 50.0, 80.0, 80.1, 110.0]
     assert categorize_all(grades).tolist() == [PP, PP, SP, SP, GP, GP]

@@ -133,7 +133,7 @@ def test_a_non_finite_input_is_a_training_error(bad, where):
     test = np.arange(12).reshape(6, 2)
     train = np.stack([np.setdiff1d(np.arange(12), rows) for rows in test])
     with pytest.raises(TrainingError, match="NaN or an infinity"):
-        fold_predictions(X, y, train, test)
+        fold_predictions(np.column_stack([np.ones(12), X]), y, train, test)
     if where == "y" and bad < 0:
         with pytest.raises(ValueError, match="target \\+ offset > 0"):
             fit_transformed(X, y)
@@ -157,7 +157,7 @@ def test_fold_predictions_raise_the_first_failing_folds_error():
         test = np.array(tests)
         train = np.stack([np.setdiff1d(np.arange(12), rows) for rows in test])
         with pytest.raises((SingularityError, TrainingError)) as err:
-            fold_predictions(X, y, train, test, ["a", "b"])
+            fold_predictions(np.column_stack([np.ones(12), X]), y, train, test, ["a", "b"])
         return err.value
 
     err = first_error(singular, non_finite)

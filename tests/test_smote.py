@@ -109,6 +109,12 @@ def test_config_validation():
         SmoteConfig(percentage=-100)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, 1.0, None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        SmoteConfig(seed=seed)
+
+
 def test_requires_categorical_target():
     values = np.arange(6, dtype=float).reshape(3, 2)
     m = FeatureMatrix(["a", "b", "c"], ["f0", "f1"], values, np.array([1.0, 2.0, 3.0]), "midterm")
